@@ -23,16 +23,9 @@ from .families import (
     subdivide,
     wheel_graph,
 )
-from .graph import (
-    Graph,
-    GraphError,
-    IrreducibilityVerdict,
-    format_graph_text,
-    is_nb_irreducible,
-    parse_graph_text,
-)
-from .operators import PreconditionError, build_nb_matrix, perron
-from .variance import asymptotic_variance, truncated_variance
+from .graph import Graph, GraphError, IrreducibilityVerdict, format_graph_text, parse_graph_text
+from .operators import PreconditionError
+from .variance import asymptotic_variance, variance_report
 from .walks import CapabilityError, distribution_csv, exact_bit_distribution, histogram_csv, run_walks
 
 EXIT_EQUAL = 0
@@ -68,7 +61,8 @@ def _effective_workers(requested: int) -> int:
         try:
             return max(1, min(requested, int(cap)))
         except ValueError:
-            pass
+            print(f"error: NBRW_THREADS must be an integer, got {cap!r}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from None
     return max(1, requested)
 
 
@@ -78,7 +72,7 @@ def _degree_histogram(g: Graph) -> dict[str, int]:
 
 def cmd_analyze(args) -> int:
     g = _load_graph_arg(args.input)
-    verdict = is_nb_irreducible(g)
+    verdict = g.irreducibility
     report: dict = {
         "graph": {
             "vertices": g.vertex_count,
@@ -98,15 +92,14 @@ def cmd_analyze(args) -> int:
         return EXIT_INVALID
 
     result = growth_verdict(g, rel_tol=args.tol)
-    rho_info = perron(build_nb_matrix(g), rel_tol=args.tol)
     report.update(
         {
             "lambda": {"float": result.lambda_float, "exact": result.lambda_exact.as_pairs()},
-            "rho": {"value": rho_info.value, "rel_tol": args.tol, "iterations": rho_info.iterations},
+            "rho": {"value": result.rho, "rel_tol": args.tol, "iterations": result.perron.iterations},
             "suspended_path_condition": result.path_condition.to_json(),
             "cycle_condition": result.cycle_condition.to_json(),
             "verdict": result.status,
-            "gap": rho_info.value - result.lambda_float,
+            "gap": result.gap,
         }
     )
     if args.with_variance:
@@ -186,8 +179,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    g = _load_graph_arg(args.input)
     workers = _effective_workers(args.workers)
+    g = _load_graph_arg(args.input)
     batch = run_walks(g, args.length, args.samples, args.seed, workers=workers)
     stats = batch.bit_stats()
     print(f"length: {stats.length}")
@@ -221,13 +214,7 @@ def cmd_pdf(args) -> int:
 
 def cmd_asymvar(args) -> int:
     g = _load_graph_arg(args.input)
-    truncated = {length: truncated_variance(g, length) for length in args.truncate}
-    report = {
-        "limit": asymptotic_variance(g),
-        "truncated": [[length, truncated[length]] for length in sorted(truncated)],
-        "method": "fundamental_solve",
-    }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(variance_report(g, args.truncate).to_json(), indent=2))
     return 0
 
 

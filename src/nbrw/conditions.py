@@ -22,26 +22,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import ExactValue, geometric_mean
-from .graph import (
-    HALF_LOOP,
-    WHOLE_LOOP,
-    Graph,
-    IrreducibilityVerdict,
-    build_graph,
-    dart_transitions,
-    is_nb_irreducible,
+from .graph import HALF_LOOP, WHOLE_LOOP, Graph, build_graph
+from .operators import (
+    PerronResult,
+    PreconditionError,
+    build_nb_matrix,
+    perron,
+    require_nb_irreducible,
 )
-from .operators import PreconditionError, cover_growth_rate
 
 
 class ConsistencyError(RuntimeError):
     """The two exact checkers disagreed; indicates an implementation bug."""
-
-
-def _require_nb_irreducible(g: Graph) -> None:
-    verdict = is_nb_irreducible(g)
-    if verdict is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"requires NB-irreducibility, got {verdict.value}")
 
 
 def average_growth_rate(g: Graph) -> tuple[ExactValue, float]:
@@ -57,6 +49,13 @@ def average_growth_rate(g: Graph) -> tuple[ExactValue, float]:
         product = product * ExactValue.from_integer(g.out_degree(e))
     exact = product ** Fraction(1, g.dart_count)
     return exact, float(exact)
+
+
+def _lambda(g: Graph) -> ExactValue:
+    """Exact average growth rate, computed once per (immutable) graph."""
+    if not hasattr(g, "_average_growth_rate"):
+        g._average_growth_rate = average_growth_rate(g)[0]
+    return g._average_growth_rate
 
 
 @dataclass(frozen=True)
@@ -84,16 +83,16 @@ def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
     Paths start at darts with indeg > 1, extend while outdeg stays 1, and
     are returned sorted by their smallest contained dart index.
     """
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
+    offsets, flat = (a.tolist() for a in g.successor_table)
     paths = []
     seen = [False] * g.dart_count
     for start in range(g.dart_count):
         if g.in_degree(start) <= 1:
             continue
         darts = [start]
-        while g.out_degree(darts[-1]) == 1:
-            (nxt,) = dart_transitions(g, darts[-1])
-            darts.append(nxt)
+        while offsets[darts[-1] + 1] - offsets[darts[-1]] == 1:
+            darts.append(flat[offsets[darts[-1]]])
             if len(darts) > g.dart_count:
                 raise ConsistencyError("suspended path did not terminate")
         for d in darts:
@@ -155,26 +154,26 @@ class ConditionVerdict:
 
 def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     """Exact test of outdeg(P) * indeg(P) = L**(2|P|) for every path."""
-    _require_nb_irreducible(g)
-    lam, _ = average_growth_rate(g)
+    require_nb_irreducible(g)
+    lam = _lambda(g)
     for path in suspended_path_decomposition(g):
         if path.g_value != lam:
             return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=path)
     return ConditionVerdict(holds=True, lambda_exact=lam)
 
 
-def _bfs_tree(g: Graph, root: int) -> tuple[list[Optional[int]], list[int]]:
+def _bfs_tree(offsets: list[int], flat: list[int], root: int) -> tuple[list[Optional[int]], list[int]]:
     """Parent dart of each dart, and visit order, in a BFS of the
-    transition digraph."""
-    parent: list[Optional[int]] = [None] * g.dart_count
+    transition digraph given as successor lists."""
+    parent: list[Optional[int]] = [None] * (len(offsets) - 1)
     order = [root]
-    seen = [False] * g.dart_count
+    seen = [False] * len(parent)
     seen[root] = True
     i = 0
     while i < len(order):
         e = order[i]
         i += 1
-        for f in dart_transitions(g, e):
+        for f in flat[offsets[e]:offsets[e + 1]]:
             if not seen[f]:
                 seen[f] = True
                 parent[f] = e
@@ -184,7 +183,7 @@ def _bfs_tree(g: Graph, root: int) -> tuple[list[Optional[int]], list[int]]:
     return parent, order
 
 
-def _bfs_path(g: Graph, source: int, target: int) -> list[int]:
+def _bfs_path(offsets: list[int], flat: list[int], source: int, target: int) -> list[int]:
     """Shortest dart sequence source..target along transitions."""
     if source == target:
         return [source]
@@ -193,7 +192,7 @@ def _bfs_path(g: Graph, source: int, target: int) -> list[int]:
     while frontier:
         nxt = []
         for e in frontier:
-            for f in dart_transitions(g, e):
+            for f in flat[offsets[e]:offsets[e + 1]]:
                 if f not in parent:
                     parent[f] = e
                     if f == target:
@@ -224,10 +223,11 @@ def check_cycle_condition(g: Graph) -> ConditionVerdict:
     around any cycle).  Otherwise a violating transition combines with
     return paths into an explicit violating cycle.
     """
-    _require_nb_irreducible(g)
-    lam, _ = average_growth_rate(g)
+    require_nb_irreducible(g)
+    lam = _lambda(g)
+    offsets, flat = (a.tolist() for a in g.successor_table)
     root = 0
-    parent, order = _bfs_tree(g, root)
+    parent, order = _bfs_tree(offsets, flat, root)
 
     phi: list[Optional[ExactValue]] = [None] * g.dart_count
     phi[root] = ExactValue.one()
@@ -238,7 +238,7 @@ def check_cycle_condition(g: Graph) -> ConditionVerdict:
     bad_arc = None
     for e in range(g.dart_count):
         expected = phi[e] * lam / ExactValue.from_integer(g.out_degree(e))
-        for f in dart_transitions(g, e):
+        for f in flat[offsets[e]:offsets[e + 1]]:
             if phi[f] != expected:
                 bad_arc = (e, f)
                 break
@@ -255,7 +255,7 @@ def check_cycle_condition(g: Graph) -> ConditionVerdict:
     # their balances differ by exactly the bad arc's discrepancy.
     tree_to_e = _tree_path(parent, root, e)
     tree_to_f = _tree_path(parent, root, f)
-    back = _bfs_path(g, f, root)
+    back = _bfs_path(offsets, flat, f, root)
     cycle_a = tree_to_e + back[:-1]  # root..e, arc e->f, f..(pred of root)
     cycle_b = tree_to_f + back[1:-1]  # root..f, f's continuation back to root
     for cycle in (cycle_a, cycle_b):
@@ -273,9 +273,10 @@ def _tree_path(parent: list[Optional[int]], root: int, target: int) -> list[int]
 
 
 def _assert_nb_cycle(g: Graph, cycle: list[int]) -> None:
+    offsets, flat = g.successor_table
     for i, e in enumerate(cycle):
         f = cycle[(i + 1) % len(cycle)]
-        if f not in dart_transitions(g, e):
+        if f not in flat[offsets[e]:offsets[e + 1]]:
             raise ConsistencyError("constructed witness is not a closed non-backtracking walk")
 
 
@@ -298,23 +299,9 @@ def _induced_subgraph(g: Graph, edge_ids: set[int]) -> tuple[Graph, dict[int, in
     kept = sorted(edge_ids)
     edges = [(vmap[g.edges[i][0]], vmap[g.edges[i][1]], g.edges[i][2]) for i in kept]
     sub = build_graph(len(used_vertices), edges)
-    dart_map: dict[int, int] = {}
-    paired_sub = [i for i in kept if g.edges[i][2] != HALF_LOOP]
-    half_sub = [i for i in kept if g.edges[i][2] == HALF_LOOP]
-    cursor = 0
-    for i in paired_sub:
-        orig = _edge_darts(g, i)
-        dart_map[cursor] = orig[0]
-        dart_map[cursor + 1] = orig[1]
-        cursor += 2
-    for i in half_sub:
-        dart_map[cursor] = _edge_darts(g, i)[0]
-        cursor += 1
-    return sub, dart_map
-
-
-def _edge_darts(g: Graph, edge_id: int) -> list[int]:
-    return [d for d in range(g.dart_count) if int(g.dart_edge[d]) == edge_id]
+    # both dart tables list paired darts by edge, then half-loops by edge,
+    # so the kept edges' darts of g appear in the sub-graph's dart order
+    return sub, dict(enumerate(_darts_of_edges(g, edge_ids)))
 
 
 def _edge_degrees(g: Graph, edge_ids: set[int]) -> dict[int, int]:
@@ -372,15 +359,16 @@ def _darts_of_edges(g: Graph, edge_ids: set[int]) -> list[int]:
 def _trace_cycle(sub: Graph, dart_map: dict[int, int]) -> list[int]:
     """Follow unique continuations in an all-degree-two graph, from the
     smallest original dart, until the start dart repeats."""
+    offsets, flat = (a.tolist() for a in sub.successor_table)
     start = min(range(sub.dart_count), key=lambda d: dart_map[d])
     cycle = [start]
     while True:
-        succ = dart_transitions(sub, cycle[-1])
-        if len(succ) != 1:
+        e = cycle[-1]
+        if offsets[e + 1] - offsets[e] != 1:
             raise ConsistencyError("cycle trace found a branching dart")
-        if succ[0] == start:
+        if flat[offsets[e]] == start:
             break
-        cycle.append(succ[0])
+        cycle.append(flat[offsets[e]])
         if len(cycle) > sub.dart_count:
             raise ConsistencyError("cycle trace did not close")
     return [dart_map[d] for d in cycle]
@@ -418,7 +406,7 @@ def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     met by an exact maximum-mean cycle search on the transition digraph
     instead.
     """
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
     _validate_path_function(g, f)
     global_mean = geometric_mean(f)
 
@@ -475,7 +463,7 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     the optimum.  All comparisons are exact.
     """
     n = g.dart_count
-    succ = [dart_transitions(g, e) for e in range(n)]
+    offsets, flat = (a.tolist() for a in g.successor_table)
     best: list[list[Optional[ExactValue]]] = [[None] * n for _ in range(n + 1)]
     parent: list[list[Optional[int]]] = [[None] * n for _ in range(n + 1)]
     best[0][0] = ExactValue.one()
@@ -486,7 +474,7 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
             if du is None:
                 continue
             through = du * f[u]
-            for v in succ[u]:
+            for v in flat[offsets[u]:offsets[u + 1]]:
                 known = best[k][v]
                 if known is None or through > known:
                     best[k][v] = through
@@ -568,10 +556,14 @@ class GrowthVerdict:
     equal: bool
     lambda_exact: ExactValue
     lambda_float: float
-    rho: float
+    perron: PerronResult
     gap: float
     path_condition: ConditionVerdict
     cycle_condition: ConditionVerdict
+
+    @property
+    def rho(self) -> float:
+        return self.perron.value
 
     @property
     def status(self) -> str:
@@ -602,13 +594,13 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
         )
     lam = path_verdict.lambda_exact
     lam_float = float(lam)
-    rho = cover_growth_rate(g, rel_tol=rel_tol)
+    rho = perron(build_nb_matrix(g), rel_tol=rel_tol)
     return GrowthVerdict(
         equal=path_verdict.holds,
         lambda_exact=lam,
         lambda_float=lam_float,
-        rho=rho,
-        gap=rho - lam_float,
+        perron=rho,
+        gap=rho.value - lam_float,
         path_condition=path_verdict,
         cycle_condition=cycle_verdict,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -61,61 +62,29 @@ class Graph:
         if vertex_count < 0:
             raise GraphError("vertex_count must be non-negative")
         self.vertex_count = vertex_count
-        normalized = []
-        for a, b, kind in edges:
-            if kind not in _EDGE_KINDS:
-                raise GraphError(f"unknown edge kind {kind!r}")
-            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-                raise GraphError(f"edge endpoint out of range: ({a}, {b})")
-            if kind in (WHOLE_LOOP, HALF_LOOP) and a != b:
-                raise GraphError(f"{kind} requires equal endpoints, got ({a}, {b})")
-            if kind == NORMAL and a == b:
-                kind = WHOLE_LOOP
-            normalized.append((a, b, kind))
-        self.edges: tuple[tuple[int, int, str], ...] = tuple(normalized)
+        self.edges: tuple[tuple[int, int, str], ...] = tuple(
+            _checked_edge(vertex_count, a, b, kind) for a, b, kind in edges
+        )
 
-        tails: list[int] = []
-        heads: list[int] = []
-        dart_edge: list[int] = []
-        half_loops: list[int] = []
-        for i, (a, b, kind) in enumerate(self.edges):
-            if kind == HALF_LOOP:
-                half_loops.append(i)
-            else:
-                tails += [a, b]
-                heads += [b, a]
-                dart_edge += [i, i]
-        paired = len(tails)
-        reverse = [d ^ 1 for d in range(paired)]
-        for i in half_loops:
-            v = self.edges[i][0]
-            tails.append(v)
-            heads.append(v)
-            dart_edge.append(i)
-            reverse.append(len(reverse))
+        ends = np.asarray([(a, b) for a, b, _ in self.edges], dtype=np.int64).reshape(-1, 2)
+        is_half = np.asarray([kind == HALF_LOOP for _, _, kind in self.edges], dtype=bool)
+        paired, halves = np.flatnonzero(~is_half), np.flatnonzero(is_half)
+        paired_darts = 2 * len(paired)
+        self.dart_tail = np.concatenate([ends[paired].ravel(), ends[halves, 0]])
+        self.dart_head = np.concatenate([ends[paired, ::-1].ravel(), ends[halves, 0]])
+        self.dart_reverse = np.concatenate(
+            [np.arange(paired_darts) ^ 1, np.arange(paired_darts, paired_darts + len(halves))]
+        )
+        self.dart_edge = np.concatenate([np.repeat(paired, 2), halves])
+        self.dart_count = len(self.dart_tail)
 
-        self.dart_count = len(tails)
-        self.dart_tail = np.asarray(tails, dtype=np.int64)
-        self.dart_head = np.asarray(heads, dtype=np.int64)
-        self.dart_reverse = np.asarray(reverse, dtype=np.int64)
-        self.dart_edge = np.asarray(dart_edge, dtype=np.int64)
-
-        degrees = np.zeros(vertex_count, dtype=np.int64)
-        for a, b, kind in self.edges:
-            if kind == NORMAL:
-                degrees[a] += 1
-                degrees[b] += 1
-            elif kind == WHOLE_LOOP:
-                degrees[a] += 2
-            else:
-                degrees[a] += 1
-        self.degrees = degrees
+        # a vertex's degree is the number of darts leaving it
+        self.degrees = np.bincount(self.dart_tail, minlength=vertex_count).astype(np.int64)
 
         # darts grouped by tail vertex, each group sorted by dart index
-        order = np.argsort(self.dart_tail, kind="stable") if self.dart_count else np.array([], dtype=np.int64)
-        self._out_darts_flat = order.astype(np.int64)
+        self._out_darts_flat = np.argsort(self.dart_tail, kind="stable").astype(np.int64)
         self._out_darts_offsets = np.zeros(vertex_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.dart_tail, minlength=vertex_count), out=self._out_darts_offsets[1:])
+        np.cumsum(self.degrees, out=self._out_darts_offsets[1:])
 
     def dart(self, index: int) -> Dart:
         if not (0 <= index < self.dart_count):
@@ -126,9 +95,6 @@ class Graph:
             head=int(self.dart_head[index]),
             reverse_index=int(self.dart_reverse[index]),
         )
-
-    def darts(self) -> list[Dart]:
-        return [self.dart(i) for i in range(self.dart_count)]
 
     def out_darts(self, vertex: int) -> list[int]:
         """Indices of darts whose tail is ``vertex``, ascending."""
@@ -146,8 +112,47 @@ class Graph:
     def out_degree_vector(self) -> np.ndarray:
         return self.degrees[self.dart_head] - 1
 
+    @cached_property
+    def successor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(offsets, flat)`` of the non-backtracking successor relation.
+
+        Row e, ``flat[offsets[e]:offsets[e + 1]]``, is :func:`dart_transitions`
+        of e.  Built on first use and shared by every module, so read-only.
+        """
+        counts = self.degrees[self.dart_head]
+        row_start = np.cumsum(counts) - counts
+        # every out-dart of each dart's head, then drop the dart's own reverse
+        positions = np.repeat(self._out_darts_offsets[self.dart_head] - row_start, counts)
+        positions += np.arange(len(positions))
+        candidates = self._out_darts_flat[positions]
+        flat = candidates[candidates != np.repeat(self.dart_reverse, counts)]
+        offsets = np.zeros(self.dart_count + 1, dtype=np.int64)
+        np.cumsum(counts - 1, out=offsets[1:])
+        offsets.flags.writeable = flat.flags.writeable = False
+        return offsets, flat
+
+    @cached_property
+    def irreducibility(self) -> IrreducibilityVerdict:
+        """:func:`is_nb_irreducible` of this graph, computed on first use."""
+        return is_nb_irreducible(self)
+
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, edges={len(self.edges)}, darts={self.dart_count})"
+
+
+def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, int, str]:
+    """Validate one edge; a normal edge with equal endpoints becomes a whole-loop."""
+    if vertex_count < 0:
+        raise GraphError("vertex_count must be non-negative")
+    if kind not in _EDGE_KINDS:
+        raise GraphError(f"unknown edge kind {kind!r}")
+    if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+        raise GraphError(f"edge endpoint out of range: ({a}, {b})")
+    if kind in (WHOLE_LOOP, HALF_LOOP) and a != b:
+        raise GraphError(f"{kind} requires equal endpoints, got ({a}, {b})")
+    if kind == NORMAL and a == b:
+        kind = WHOLE_LOOP
+    return a, b, kind
 
 
 def build_graph(vertex_count: int, edge_list: list[tuple[int, int] | tuple[int, int, str]]) -> Graph:
@@ -173,9 +178,8 @@ def dart_transitions(g: Graph, dart_index: int) -> list[int]:
     the reversed edge is a legal continuation.  A half-loop dart is its own
     reverse and is therefore excluded from its own continuations.
     """
-    head = int(g.dart_head[dart_index])
-    rev = int(g.dart_reverse[dart_index])
-    return [d for d in g.out_darts(head) if d != rev]
+    offsets, flat = g.successor_table
+    return flat[offsets[dart_index]:offsets[dart_index + 1]].tolist()
 
 
 def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
@@ -184,20 +188,16 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
     These three conditions together are exactly when the non-backtracking
     walk visits every dart from every dart.
     """
-    if g.vertex_count == 0:
+    if g.vertex_count == 0 or not _is_connected(g):
         return IrreducibilityVerdict.NOT_CONNECTED
-    if not _is_connected(g):
-        return IrreducibilityVerdict.NOT_CONNECTED
-    if g.vertex_count and int(g.degrees.min()) < 2:
+    if int(g.degrees.min()) < 2:
         return IrreducibilityVerdict.MIN_DEGREE_BELOW_2
-    if g.vertex_count and int(g.degrees.max()) <= 2:
+    if int(g.degrees.max()) <= 2:
         return IrreducibilityVerdict.IS_CYCLE
     return IrreducibilityVerdict.OK
 
 
 def _is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
     parent = list(range(g.vertex_count))
 
     def find(x: int) -> int:
@@ -238,21 +238,17 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphParseError(lineno, f"invalid vertex count {fields[1]!r}") from None
             continue
         if fields[0] == "e" and len(fields) == 3:
-            try:
-                a, b = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphParseError(lineno, f"invalid edge endpoints in {line!r}") from None
-            edges.append((a, b, WHOLE_LOOP if a == b else NORMAL))
+            kind, ends, what = NORMAL, fields[1:], "edge endpoints"
         elif fields[0] == "hl" and len(fields) == 2:
-            try:
-                a = int(fields[1])
-            except ValueError:
-                raise GraphParseError(lineno, f"invalid half-loop vertex in {line!r}") from None
-            edges.append((a, a, HALF_LOOP))
+            kind, ends, what = HALF_LOOP, fields[1:] * 2, "half-loop vertex"
         else:
             raise GraphParseError(lineno, f"unrecognized line {line!r}")
         try:
-            Graph(vertex_count, edges[-1:])
+            a, b = int(ends[0]), int(ends[1])
+        except ValueError:
+            raise GraphParseError(lineno, f"invalid {what} in {line!r}") from None
+        try:
+            edges.append(_checked_edge(vertex_count, a, b, kind))
         except GraphError as exc:
             raise GraphParseError(lineno, str(exc)) from None
     if vertex_count is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, IrreducibilityVerdict, dart_transitions, is_nb_irreducible
+from .graph import Graph, IrreducibilityVerdict
 
 
 class PreconditionError(ValueError):
@@ -47,22 +47,17 @@ class NbOperator:
         return self.matrix.shape[0]
 
 
-def _transition_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the dart-transition relation."""
-    indptr = np.zeros(g.dart_count + 1, dtype=np.int64)
-    indices: list[int] = []
-    for e in range(g.dart_count):
-        succ = dart_transitions(g, e)
-        indptr[e + 1] = indptr[e] + len(succ)
-        indices.extend(succ)
-    return indptr, np.asarray(indices, dtype=np.int64)
+def require_nb_irreducible(g: Graph) -> None:
+    """Raise :class:`PreconditionError` unless ``g`` is NB-irreducible."""
+    if g.irreducibility is not IrreducibilityVerdict.OK:
+        raise PreconditionError(f"requires NB-irreducibility, got {g.irreducibility.value}")
 
 
 def build_nb_matrix(g: Graph) -> NbOperator:
     """0/1 adjacency operator of the dart-transition relation."""
     if g.vertex_count == 0 or int(g.degrees.min()) < 2:
         raise PreconditionError("adjacency operator requires minimum degree >= 2")
-    indptr, indices = _transition_structure(g)
+    indptr, indices = g.successor_table
     data = np.ones(len(indices), dtype=np.float64)
     m = sp.csr_matrix((data, indices, indptr), shape=(g.dart_count, g.dart_count))
     return NbOperator(matrix=m, kind="adjacency")
@@ -70,10 +65,8 @@ def build_nb_matrix(g: Graph) -> NbOperator:
 
 def build_transition_matrix(g: Graph) -> NbOperator:
     """Row-stochastic walk transition matrix (rows scaled by 1/outdeg)."""
-    verdict = is_nb_irreducible(g)
-    if verdict is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"transition matrix requires NB-irreducibility, got {verdict.value}")
-    indptr, indices = _transition_structure(g)
+    require_nb_irreducible(g)
+    indptr, indices = g.successor_table
     outdeg = np.diff(indptr)
     data = np.repeat(1.0 / outdeg, outdeg)
     m = sp.csr_matrix((data, indices, indptr), shape=(g.dart_count, g.dart_count))
@@ -180,9 +173,7 @@ def cover_growth_rate(g: Graph, rel_tol: float = 1e-12) -> float:
     Equals the Perron eigenvalue of the dart adjacency operator; requires
     an NB-irreducible graph.
     """
-    verdict = is_nb_irreducible(g)
-    if verdict is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"growth rate requires NB-irreducibility, got {verdict.value}")
+    require_nb_irreducible(g)
     return perron_value(build_nb_matrix(g), rel_tol=rel_tol)
 
 
@@ -196,10 +187,10 @@ def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:
         raise ValueError("length must be non-negative")
     if not (0 <= dart_index < g.dart_count):
         raise ValueError("dart index out of range")
-    succ = [dart_transitions(g, e) for e in range(g.dart_count)]
+    offsets, flat = (a.tolist() for a in g.successor_table)
     x = [1] * g.dart_count
     for _ in range(length):
-        x = [sum(x[f] for f in succ[e]) for e in range(g.dart_count)]
+        x = [sum(x[f] for f in flat[offsets[e]:offsets[e + 1]]) for e in range(g.dart_count)]
     return x[dart_index]
 
 

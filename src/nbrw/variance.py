@@ -22,15 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .conditions import average_growth_rate
-from .graph import Graph, IrreducibilityVerdict, is_nb_irreducible
-from .operators import PreconditionError, build_transition_matrix, stationary_distribution
-
-
-def _require_nb_irreducible(g: Graph) -> None:
-    verdict = is_nb_irreducible(g)
-    if verdict is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"requires NB-irreducibility, got {verdict.value}")
+from .conditions import _lambda
+from .graph import Graph
+from .operators import build_transition_matrix, require_nb_irreducible, stationary_distribution
 
 
 def centered_bit_values(g: Graph) -> np.ndarray:
@@ -38,10 +32,9 @@ def centered_bit_values(g: Graph) -> np.ndarray:
 
     The result has stationary (uniform) mean zero up to float rounding.
     """
-    _require_nb_irreducible(g)
-    lam_exact, _ = average_growth_rate(g)
+    require_nb_irreducible(g)
     outdeg = g.out_degree_vector().astype(np.float64)
-    return np.log2(outdeg) - lam_exact.log2()
+    return np.log2(outdeg) - _lambda(g).log2()
 
 
 def truncated_variance(g: Graph, length: int) -> float:
@@ -50,7 +43,7 @@ def truncated_variance(g: Graph, length: int) -> float:
     Exact up to float rounding; evaluated by iterated matrix-vector
     products, never by forming matrix powers.
     """
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
     if length < 1:
         raise ValueError("length must be >= 1")
     f = centered_bit_values(g)
@@ -88,7 +81,7 @@ def chain_asymptotic_variance(transition, stationary, values) -> float:
 
 def asymptotic_variance(g: Graph) -> float:
     """Limit of the normalized bit-total variance of stationary walks."""
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
     f = centered_bit_values(g)
     p = build_transition_matrix(g).matrix.toarray()
     pi = stationary_distribution(g)

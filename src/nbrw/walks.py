@@ -16,6 +16,7 @@ per-step shift-and-add runs at C speed.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,23 +25,17 @@ import numpy as np
 
 from . import _rng
 from ._kernels import get_kernel
-from .graph import Graph, IrreducibilityVerdict, dart_transitions, is_nb_irreducible
-from .operators import PreconditionError, _transition_structure
+from .graph import Graph
+from .operators import PreconditionError, require_nb_irreducible
 
 
 class CapabilityError(ValueError):
     """The exact distribution is limited to two distinct branching degrees."""
 
 
-def _require_nb_irreducible(g: Graph) -> None:
-    verdict = is_nb_irreducible(g)
-    if verdict is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"requires NB-irreducibility, got {verdict.value}")
-
-
 def tracked_degrees(g: Graph) -> tuple[int, ...]:
     """Distinct branching degrees (outdeg > 1), ascending."""
-    return tuple(sorted({g.out_degree(e) for e in range(g.dart_count)} - {1}))
+    return tuple(d for d in np.unique(g.out_degree_vector()).tolist() if d > 1)
 
 
 @dataclass(frozen=True)
@@ -58,22 +53,22 @@ def sample_walk(g: Graph, length: int, seed: int, stream: int = 0) -> WalkSample
     non-backtracking continuations.  ``(seed, stream)`` fully determines
     the walk; batch sample number s of the same seed is ``stream=s``.
     """
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
     if length < 0:
         raise ValueError("length must be non-negative")
+    offsets, flat = g.successor_table
     key = _rng.stream_key(seed, stream)
     e = _rng.draw(key, 0) % g.dart_count
     darts = [e]
     bits = 0.0
     for i in range(1, length + 1):
-        succ = dart_transitions(g, e)
-        d = len(succ)
+        d = int(offsets[e + 1] - offsets[e])
         if d > 1:
             bits += math.log2(d)
             j = _rng.draw(key, i) % d
         else:
             j = 0
-        e = succ[j]
+        e = int(flat[offsets[e] + j])
         darts.append(e)
     return WalkSample(darts=tuple(darts), bits=bits)
 
@@ -155,14 +150,12 @@ class WalkBatch:
 
 
 def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    indptr, indices = _transition_structure(g)
+    indptr, indices = g.successor_table
     degrees = tracked_degrees(g)
-    index_of = {v: i for i, v in enumerate(degrees)}
+    outdeg = g.out_degree_vector()
     value_index = np.full(g.dart_count, -1, dtype=np.int8)
-    for e in range(g.dart_count):
-        d = g.out_degree(e)
-        if d > 1:
-            value_index[e] = index_of[d]
+    for i, d in enumerate(degrees):
+        value_index[outdeg == d] = i
     return indices.astype(np.int32), indptr.astype(np.int64), value_index, degrees
 
 
@@ -178,9 +171,10 @@ def run_walks(
 
     Sampling is embarrassingly parallel: sample s always uses stream s of
     the seed, and workers write disjoint slices, so the result does not
-    depend on ``workers`` at all (it only affects speed).
+    depend on ``workers`` at all (it only affects speed).  The samples are
+    split into ``workers`` chunks, run on at most ``os.cpu_count()`` threads.
     """
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
     if length < 0:
         raise ValueError("length must be non-negative")
     if samples < 1:
@@ -204,7 +198,7 @@ def run_walks(
     if len(chunks) == 1:
         run_chunk(*chunks[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             list(pool.map(lambda c: run_chunk(*c), chunks))
     return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
 
@@ -265,11 +259,6 @@ class ExactBitDistribution:
                 var += logs[i] * logs[j] * float(second[i][j] - first[i] * first[j])
         return var
 
-    def sorted_by_bits(self) -> list[tuple[tuple[int, ...], float, Fraction]]:
-        rows = [(counts, self.bits_of(counts), p) for counts, p in self.probabilities.items()]
-        rows.sort(key=lambda r: (r[1], r[0]))
-        return rows
-
     def total_variation(self, histogram: dict[tuple[int, ...], int], samples: int) -> float:
         """Exact TV distance to an empirical count-vector histogram."""
         keys = set(self.probabilities) | set(histogram)
@@ -287,7 +276,7 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
     O(dart_count * length**k) for k tracked degrees); raises
     :class:`CapabilityError` beyond that.
     """
-    _require_nb_irreducible(g)
+    require_nb_irreducible(g)
     if length < 0:
         raise ValueError("length must be non-negative")
     degrees = tracked_degrees(g)
@@ -313,10 +302,12 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
             pos = inner if (k == 2 and axis == 0) else 1
             shift_of_dart.append(pos * field_bits)
 
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for e in range(n):
-        for f in dart_transitions(g, e):
-            preds[f].append(e)
+    # predecessors of each dart, ascending: the transpose of the successor table
+    offsets, flat = g.successor_table
+    by_target = np.argsort(flat, kind="stable")
+    pred_flat = np.repeat(np.arange(n), np.diff(offsets))[by_target].tolist()
+    pred_offsets = np.searchsorted(flat[by_target], np.arange(n + 1)).tolist()
+    preds = [pred_flat[lo:hi] for lo, hi in zip(pred_offsets, pred_offsets[1:])]
 
     weights = [1] * n  # packed polynomial per dart, starts at count zero
     for _ in range(length):

@@ -177,6 +177,14 @@ def test_walk_thread_env_cap(k4e_file, capsys, monkeypatch):
     assert "workers: 1" in out
 
 
+def test_walk_malformed_thread_env_exit_64(k4e_file, capsys, monkeypatch):
+    monkeypatch.setenv("NBRW_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", k4e_file, "--len", "10", "--samples", "100"])
+    assert exc.value.code == 64
+    assert "NBRW_THREADS" in capsys.readouterr().err
+
+
 def test_pdf_stdout_and_file(k4e_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "pdf", k4e_file, "--len", "1")
     assert code == 0

@@ -99,6 +99,35 @@ def test_parallel_reverse_edge_is_legal_successor():
     assert 3 in succ
 
 
+def test_successor_table_matches_definition_on_corpus():
+    """Row e of the cached table is every f with tail(f) = head(e) and
+    f != reverse(e), ascending, checked dart pair by dart pair."""
+    rng = random.Random(303)
+    graphs = [random_nb_irreducible(rng, max_vertices=10, half_loop_prob=0.5) for _ in range(150)]
+    graphs += [
+        build_graph(0, []),
+        build_graph(1, [(0, 0, HALF_LOOP)]),
+        build_graph(3, [(0, 1), (0, 1), (1, 1, WHOLE_LOOP), (2, 2, HALF_LOOP), (1, 2), (0, 0, HALF_LOOP)]),
+    ]
+    kinds = set()
+    for g in graphs:
+        kinds.update(kind for _, _, kind in g.edges)
+        if len(set((min(a, b), max(a, b)) for a, b, _ in g.edges)) < len(g.edges):
+            kinds.add("parallel")
+        offsets, flat = g.successor_table
+        assert g.successor_table is g.successor_table
+        assert not offsets.flags.writeable and not flat.flags.writeable
+        assert len(offsets) == g.dart_count + 1
+        for e in range(g.dart_count):
+            expected = [
+                f for f in range(g.dart_count)
+                if g.dart_tail[f] == g.dart_head[e] and f != g.dart_reverse[e]
+            ]
+            assert flat[offsets[e]:offsets[e + 1]].tolist() == expected
+            assert dart_transitions(g, e) == expected
+    assert kinds >= {HALF_LOOP, WHOLE_LOOP, "parallel"}
+
+
 def test_out_degree_formula_holds_on_corpus():
     rng = random.Random(101)
     for _ in range(100):
@@ -134,6 +163,8 @@ def test_is_nb_irreducible_cases(k4e):
     # priority: disconnection reported before the degree defect
     mixed = build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
     assert is_nb_irreducible(mixed) is IrreducibilityVerdict.NOT_CONNECTED
+    for g in (k4e, c5, two_triangles, path, mixed):
+        assert g.irreducibility is is_nb_irreducible(g)
 
 
 def test_text_format_round_trip(k4e):
@@ -163,6 +194,15 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line_number == 2
     with pytest.raises(GraphParseError):
         parse_graph_text("# only comments\n")
+
+
+def test_parse_large_header_reports_edge_line():
+    # a large declared vertex count must not make each edge line costly
+    lines = ["nbgraph 2000000"] + [f"e {i} {i + 1}" for i in range(2000)] + ["e 0 2000000"]
+    with pytest.raises(GraphParseError) as err:
+        parse_graph_text("\n".join(lines) + "\n")
+    assert err.value.line_number == 2002
+    assert "edge endpoint out of range: (0, 2000000)" in str(err.value)
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from nbrw import run_walks
+from nbrw import run_walks, walks
 from nbrw._kernels import available_engines, get_kernel
 from nbrw._rng import MASK64, draw, mix64, stream_key
 
@@ -54,3 +54,29 @@ def test_chunking_never_depends_on_worker_count(k4e):
         other = run_walks(k4e, 29, 997, seed=31, workers=workers)
         assert np.array_equal(reference.counts, other.counts)
         assert np.array_equal(reference.end_darts, other.end_darts)
+
+
+def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
+    # a recording stand-in runs the chunks in turn, so no thread starts
+    pool_sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(walks, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 3)
+    reference = run_walks(k4e, 29, 997, seed=31, workers=1)
+    capped = run_walks(k4e, 29, 997, seed=31, workers=2000)
+    assert pool_sizes == [3]
+    assert np.array_equal(reference.counts, capped.counts)
+    assert np.array_equal(reference.end_darts, capped.end_darts)

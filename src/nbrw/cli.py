@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
+
+import numpy as np
 
 from .conditions import growth_verdict
 from .families import (
@@ -67,7 +68,8 @@ def _effective_workers(requested: int) -> int:
 
 
 def _degree_histogram(g: Graph) -> dict[str, int]:
-    return {str(d): c for d, c in sorted(Counter(int(x) for x in g.degrees).items())}
+    counts = np.bincount(g.degrees)  # degrees are at most 2 * edges, whatever the header says
+    return {str(d): int(counts[d]) for d in np.flatnonzero(counts).tolist()}
 
 
 def cmd_analyze(args) -> int:
@@ -103,7 +105,9 @@ def cmd_analyze(args) -> int:
         }
     )
     if args.with_variance:
-        report["asymptotic_variance"] = asymptotic_variance(g)
+        # equal rates: the cycle criterion's potential makes f a coboundary,
+        # so the bit total telescopes and its variance is exactly 0
+        report["asymptotic_variance"] = 0.0 if result.equal else asymptotic_variance(g)
 
     if args.json:
         print(json.dumps(report, indent=2))

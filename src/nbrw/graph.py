@@ -198,6 +198,8 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
 
 
 def _is_connected(g: Graph) -> bool:
+    if g.vertex_count > len(g.edges) + 1:  # a spanning tree needs V - 1 edges
+        return False
     parent = list(range(g.vertex_count))
 
     def find(x: int) -> int:

@@ -133,6 +133,16 @@ def test_analyze_json_equal_validates(tmp_path, capsys):
     assert report["cycle_condition"]["witness"]["type"] == "potential"
 
 
+def test_analyze_variance_exactly_zero_on_equal_graph(tmp_path, capsys):
+    path = tmp_path / "w523.txt"
+    run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "2", "--l2", "3", "-o", str(path))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json", "--with-variance")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "equal"
+    assert report["asymptotic_variance"] == 0.0
+
+
 def test_analyze_not_irreducible_json_validates(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     import importlib.resources

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,19 @@ def test_parse_large_header_reports_edge_line():
         parse_graph_text("\n".join(lines) + "\n")
     assert err.value.line_number == 2002
     assert "edge endpoint out of range: (0, 2000000)" in str(err.value)
+
+
+def test_large_header_irreducibility_allocates_nothing_per_vertex():
+    # fewer than V - 1 edges cannot connect V vertices; no union-find is built
+    g = parse_graph_text("nbgraph 1000000\ne 0 1\ne 1 2\ne 2 0\n")
+    tracemalloc.start()
+    try:
+        verdict = g.irreducibility
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is IrreducibilityVerdict.NOT_CONNECTED
+    assert peak < 1_000_000
 
 
 def test_parse_ignores_comments_and_blanks():

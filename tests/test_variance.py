@@ -1,16 +1,20 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbrw import (
     PreconditionError,
     asymptotic_variance,
     build_graph,
+    build_transition_matrix,
     centered_bit_values,
     chain_asymptotic_variance,
     complete_bipartite_graph,
+    equal_growth_wheel,
     growth_verdict,
     stationary_distribution,
     truncated_variance,
@@ -74,9 +78,21 @@ def test_quotient_consistency_k4e(k4e):
     pi = np.array([1 / 5, 2 / 5, 2 / 5])
     p = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     f = np.array([2 / 5, 2 / 5, -3 / 5])
-    reduced = chain_asymptotic_variance(p, pi, f)
-    assert abs(reduced - asymptotic_variance(k4e)) <= 1e-12
-    assert abs(reduced - 2 / 125) <= 1e-12
+    for matrix in (p, sp.csr_matrix(p), sp.coo_matrix(p), sp.csc_matrix(p)):
+        reduced = chain_asymptotic_variance(matrix, pi, f)
+        assert abs(reduced - asymptotic_variance(k4e)) <= 1e-12
+        assert abs(reduced - 2 / 125) <= 1e-12
+
+
+def test_chain_asymptotic_variance_sparse_input():
+    rng = random.Random(2121)
+    for _ in range(20):
+        g = random_nb_irreducible(rng)
+        p = build_transition_matrix(g).matrix
+        pi, f = stationary_distribution(g), centered_bit_values(g)
+        sparse = chain_asymptotic_variance(p, pi, f)
+        assert abs(sparse - chain_asymptotic_variance(p.toarray(), pi, f)) <= 1e-12
+        assert abs(sparse - asymptotic_variance(g)) <= 1e-12
 
 
 def test_chain_asymptotic_variance_validates_shapes():
@@ -97,6 +113,31 @@ def test_oracle_equivalence_on_corpus():
         assert abs(pair - limit) <= max(1e-4, limit * 1e-4 / 0.016)
         coarse = (truncated_variance(g, 1024) + truncated_variance(g, 1025)) / 2
         assert abs(pair - limit) <= abs(coarse - limit) + 1e-9
+
+
+def test_split_solve_matches_dense_fundamental_solve():
+    # the dense (I - P + 1 pi') x = f system, built here as its own oracle
+    rng = random.Random(2222)
+    for _ in range(100):
+        g = random_nb_irreducible(rng)
+        n = g.dart_count
+        f = centered_bit_values(g)
+        a = np.eye(n) - build_transition_matrix(g).matrix.toarray() + np.full((n, n), 1.0 / n)
+        x = np.linalg.solve(a, f)
+        assert abs(asymptotic_variance(g) - (-(f @ f) + 2.0 * (f @ x)) / n) <= 1e-12
+
+
+def test_asymptotic_variance_memory_hk8():
+    # hk8 has 5,654 darts: a dense D x D solve would allocate over 700 MB
+    g = equal_growth_wheel(8)
+    tracemalloc.start()
+    try:
+        limit = asymptotic_variance(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(limit) <= 1e-9
+    assert peak < 50_000_000
 
 
 def test_dichotomy_on_corpus():

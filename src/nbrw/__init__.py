@@ -44,6 +44,7 @@ from .graph import (
     save_graph,
 )
 from .operators import (
+    FactoredNbOperator,
     NbOperator,
     PerronResult,
     PowerIterationError,
@@ -54,6 +55,7 @@ from .operators import (
     count_nb_walks,
     cover_growth_rate,
     enumerate_nb_walks,
+    factored_nb_operator,
     interpolation_matrix,
     perron,
     perron_value,

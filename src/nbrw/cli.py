@@ -2,14 +2,16 @@
 
 Subcommands: analyze, gen, walk, pdf, asymvar.  Exit codes follow a
 shell-friendly contract: 0 when the two growth rates are equal (or the
-command simply succeeded), 1 when they differ, 2 for invalid input or a
-failed precondition, 64 for usage errors.
+command simply succeeded), 1 when they differ, 2 for invalid input, a
+failed precondition or a rho bracket that rounding keeps wider than
+``--tol``, 64 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,7 +27,7 @@ from .families import (
     wheel_graph,
 )
 from .graph import Graph, GraphError, IrreducibilityVerdict, format_graph_text, parse_graph_text
-from .operators import PreconditionError
+from .operators import PowerIterationError, PreconditionError
 from .variance import asymptotic_variance, variance_report
 from .walks import CapabilityError, distribution_csv, exact_bit_distribution, histogram_csv, run_walks
 
@@ -34,11 +36,24 @@ EXIT_STRICT = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 64
 
+# a float64 Collatz-Wielandt bracket is a few ulps wide at best
+MIN_TOL = 1e-15
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= MIN_TOL):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= {MIN_TOL:g}, got {text!r}")
+    return value
 
 
 def _load_graph_arg(path: str) -> Graph:
@@ -97,7 +112,14 @@ def cmd_analyze(args) -> int:
     report.update(
         {
             "lambda": {"float": result.lambda_float, "exact": result.lambda_exact.as_pairs()},
-            "rho": {"value": result.rho, "rel_tol": args.tol, "iterations": result.perron.iterations},
+            "rho": {
+                "value": result.rho,
+                "rel_tol": args.tol,
+                "iterations": result.perron.iterations,
+                "low": result.perron.low,
+                "high": result.perron.high,
+                "matvecs": result.perron.iterations,  # one operator application each
+            },
             "suspended_path_condition": result.path_condition.to_json(),
             "cycle_condition": result.cycle_condition.to_json(),
             "verdict": result.status,
@@ -136,6 +158,7 @@ def _print_analysis(report: dict) -> None:
     rho = report["rho"]
     print(f"lambda: {lam['float']:.12f} = {_format_exact(lam['exact'])}")
     print(f"rho:    {rho['value']:.12f} (rel_tol {rho['rel_tol']:g}, {rho['iterations']} iterations)")
+    print(f"        bracket [{rho['low']:.15g}, {rho['high']:.15g}]")
     print(f"gap:    {report['gap']:.12g}")
     for name, key in (
         ("suspended path condition", "suspended_path_condition"),
@@ -228,7 +251,9 @@ def build_parser() -> _Parser:
 
     p_analyze = sub.add_parser("analyze", help="growth-rate equality report", parents=[], add_help=True)
     p_analyze.add_argument("input", help="graph file (or - for stdin)")
-    p_analyze.add_argument("--tol", type=float, default=1e-12, help="relative tolerance for rho")
+    p_analyze.add_argument(
+        "--tol", type=_tolerance, default=1e-12, help=f"relative width of the rho bracket (>= {MIN_TOL:g})"
+    )
     p_analyze.add_argument("--json", action="store_true", help="emit a JSON report")
     p_analyze.add_argument("--with-variance", action="store_true", help="include the asymptotic variance")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -284,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (GraphError, PreconditionError, CapabilityError) as exc:
+    except (GraphError, PreconditionError, CapabilityError, PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ValueError as exc:

@@ -13,20 +13,28 @@ The cycle criterion is decided through a potential function on darts: a
 spanning tree of the dart-transition digraph fixes candidate potentials,
 and every remaining transition either confirms them (certificate) or folds
 into an explicit violating cycle (counterexample).
+
+Both run on integer vectors: log outdeg(e) and D log L (D darts) are
+exponent vectors over the few primes dividing the degrees, so each
+criterion is one vectorised integer comparison over all paths or arcs.
+``ExactValue`` appears only in what is reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .exact import ExactValue, geometric_mean
+import numpy as np
+
+from .exact import ExactValue, factorize, geometric_mean
 from .graph import HALF_LOOP, WHOLE_LOOP, Graph, build_graph
 from .operators import (
     PerronResult,
     PreconditionError,
-    build_nb_matrix,
+    factored_nb_operator,
     perron,
     require_nb_irreducible,
 )
@@ -34,6 +42,40 @@ from .operators import (
 
 class ConsistencyError(RuntimeError):
     """The two exact checkers disagreed; indicates an implementation bug."""
+
+
+# Potentials and balances are bounded before any is computed; a graph whose
+# bound exceeds int64 runs the same code on Python ints (dtype=object).
+_INT64_BOUND = 2**62
+
+
+@dataclass(frozen=True)
+class _Exponents:
+    """log outdeg(e) and log lambda as integer vectors over ``primes``.
+
+    ``rows[e]`` holds the prime exponents of outdeg(e) and ``total`` their
+    sum over all darts, so lambda = prod(p ** (total_p / dart_count)).
+    """
+
+    primes: tuple[int, ...]
+    rows: np.ndarray
+    total: np.ndarray
+
+
+def _exponents(g: Graph) -> _Exponents:
+    """The graph's exponent table, computed once per (immutable) graph."""
+    if not hasattr(g, "_exponent_table"):
+        values, index = np.unique(g.out_degree_vector(), return_inverse=True)
+        factors = [factorize(int(v)) for v in values]
+        primes = tuple(sorted({p for f in factors for p in f}))
+        table = np.array([[f.get(p, 0) for p in primes] for f in factors], dtype=np.int64)
+        d = g.dart_count
+        # |potential| <= d * max|total - d * row|, balances <= 2 d (d + 1) max row
+        if 4 * d * (d + 1) * int(table.max(initial=0)) >= _INT64_BOUND:
+            table = table.astype(object)
+        total = np.bincount(index, minlength=len(values)) @ table
+        g._exponent_table = _Exponents(primes, table[index], total)
+    return g._exponent_table
 
 
 def average_growth_rate(g: Graph) -> tuple[ExactValue, float]:
@@ -44,10 +86,8 @@ def average_growth_rate(g: Graph) -> tuple[ExactValue, float]:
     """
     if g.vertex_count == 0 or int(g.degrees.min()) < 2:
         raise PreconditionError("average growth rate requires minimum degree >= 2")
-    product = ExactValue()
-    for e in range(g.dart_count):
-        product = product * ExactValue.from_integer(g.out_degree(e))
-    exact = product ** Fraction(1, g.dart_count)
+    ex = _exponents(g)
+    exact = ExactValue({p: Fraction(int(t), g.dart_count) for p, t in zip(ex.primes, ex.total)})
     return exact, float(exact)
 
 
@@ -70,11 +110,60 @@ class SuspendedPath:
     darts: tuple[int, ...]
     in_degree: int
     out_degree: int
-    g_value: ExactValue
 
     @property
     def length(self) -> int:
         return len(self.darts)
+
+    @cached_property
+    def g_value(self) -> ExactValue:
+        base = ExactValue.from_integer(self.out_degree) * ExactValue.from_integer(self.in_degree)
+        return base ** Fraction(1, 2 * self.length)
+
+
+@dataclass(frozen=True)
+class _Paths:
+    """The suspended paths as arrays: ``order`` lists the darts path by
+    path, each along the walk; path i occupies ``order[start[i]:start[i] +
+    length[i]]`` and ``smallest[i]`` is its smallest dart."""
+
+    order: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    smallest: np.ndarray
+
+    def path(self, g: Graph, i: int) -> SuspendedPath:
+        darts = self.order[self.start[i]:self.start[i] + self.length[i]].tolist()
+        return SuspendedPath(
+            darts=tuple(darts), in_degree=g.in_degree(darts[0]), out_degree=g.out_degree(darts[-1])
+        )
+
+
+def _suspended_paths(g: Graph) -> _Paths:
+    """Paths start at darts with indeg > 1 and extend while outdeg is 1.
+
+    A dart with indeg 1 has one predecessor, the dart whose only successor
+    it is; pointer doubling over predecessors finds every dart's path start
+    and position in O(D log D).
+    """
+    require_nb_irreducible(g)
+    d = g.dart_count
+    is_start = g.degrees[g.dart_tail] > 2
+    chain = np.flatnonzero(g.chain_successor >= 0)
+    ancestor = np.arange(d)
+    ancestor[g.chain_successor[chain]] = chain  # the one predecessor of each dart with indeg 1
+    position = (~is_start).astype(np.int64)
+    for _ in range(d.bit_length() + 1):
+        if is_start[ancestor].all():
+            break
+        position += position[ancestor]
+        ancestor = ancestor[ancestor]
+    else:
+        raise ConsistencyError("suspended path did not terminate")
+    order = np.argsort(ancestor * d + position)
+    start = np.flatnonzero(position[order] == 0)
+    length = np.diff(np.append(start, d))
+    return _Paths(order, start, length, np.minimum.reduceat(order, start))
 
 
 def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
@@ -83,37 +172,29 @@ def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
     Paths start at darts with indeg > 1, extend while outdeg stays 1, and
     are returned sorted by their smallest contained dart index.
     """
-    require_nb_irreducible(g)
-    offsets, flat = (a.tolist() for a in g.successor_table)
-    paths = []
-    seen = [False] * g.dart_count
-    for start in range(g.dart_count):
-        if g.in_degree(start) <= 1:
-            continue
-        darts = [start]
-        while offsets[darts[-1] + 1] - offsets[darts[-1]] == 1:
-            darts.append(flat[offsets[darts[-1]]])
-            if len(darts) > g.dart_count:
-                raise ConsistencyError("suspended path did not terminate")
-        for d in darts:
-            if seen[d]:
-                raise ConsistencyError("dart assigned to two suspended paths")
-            seen[d] = True
-        base = ExactValue.from_integer(g.out_degree(darts[-1])) * ExactValue.from_integer(
-            g.in_degree(darts[0])
-        )
-        paths.append(
-            SuspendedPath(
-                darts=tuple(darts),
-                in_degree=g.in_degree(darts[0]),
-                out_degree=g.out_degree(darts[-1]),
-                g_value=base ** Fraction(1, 2 * len(darts)),
-            )
-        )
-    if not all(seen):
-        raise ConsistencyError("suspended paths do not cover the dart set")
-    paths.sort(key=lambda p: min(p.darts))
-    return paths
+    paths = _suspended_paths(g)
+    return [paths.path(g, i) for i in np.argsort(paths.smallest).tolist()]
+
+
+@dataclass(frozen=True)
+class _Potential:
+    """phi(d) = prod_p p ** (rows[d, p] / scale), as integer exponent rows."""
+
+    primes: tuple[int, ...]
+    scale: int
+    rows: np.ndarray
+
+    def as_pairs(self) -> dict[str, list[list[int]]]:
+        """``{dart: [[prime, num, den], ...]}``, exponents in lowest terms."""
+        common = np.gcd(self.rows, self.scale)
+        nums, dens = (self.rows // common).tolist(), (self.scale // common).tolist()
+        pairs = [[[p, n, m] for p, n, m in zip(self.primes, num, den) if n] for num, den in zip(nums, dens)]
+        return dict(zip(map(str, range(len(pairs))), pairs))
+
+    def log(self) -> np.ndarray:
+        """Natural log of phi, in floating point."""
+        logs = np.log(np.asarray(self.primes, dtype=np.float64))
+        return np.asarray(self.rows @ logs, dtype=np.float64) / self.scale
 
 
 @dataclass(frozen=True)
@@ -123,14 +204,25 @@ class ConditionVerdict:
     ``witness`` is a potential certificate (dart -> ExactValue) when the
     cycle criterion holds, a violating :class:`SuspendedPath`, or a
     violating cycle as a dart tuple.  The path criterion carries no
-    certificate object when it holds.
+    certificate object when it holds.  The potential is kept as integer
+    exponent rows (``phi``); the ``ExactValue`` map is built when first read.
     """
 
     holds: bool
     lambda_exact: ExactValue
     witness_path: Optional[SuspendedPath] = None
     witness_cycle: Optional[tuple[int, ...]] = None
-    potential: Optional[dict[int, ExactValue]] = None
+    phi: Optional[_Potential] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def potential(self) -> Optional[dict[int, ExactValue]]:
+        if self.phi is None:
+            return None
+        scale = self.phi.scale
+        return {
+            d: ExactValue({p: Fraction(x, scale) for p, x in zip(self.phi.primes, row)})
+            for d, row in enumerate(self.phi.rows.tolist())
+        }
 
     def to_json(self) -> dict:
         payload = {
@@ -141,76 +233,101 @@ class ConditionVerdict:
             payload["witness"] = {"type": "path", "darts": list(self.witness_path.darts)}
         elif self.witness_cycle is not None:
             payload["witness"] = {"type": "cycle", "darts": list(self.witness_cycle)}
-        elif self.potential is not None:
-            payload["witness"] = {
-                "type": "potential",
-                "darts": [],
-                "phi": {str(d): v.as_pairs() for d, v in sorted(self.potential.items())},
-            }
+        elif self.phi is not None:
+            payload["witness"] = {"type": "potential", "darts": [], "phi": self.phi.as_pairs()}
         else:
             payload["witness"] = None
         return payload
 
 
 def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
-    """Exact test of outdeg(P) * indeg(P) = L**(2|P|) for every path."""
+    """Exact test of outdeg(P) * indeg(P) = L**(2|P|) for every path.
+
+    In exponents scaled by D: D (v(outdeg P) + v(indeg P)) = 2 |P| total,
+    for all paths at once; the witness is the violating path with the
+    smallest dart.
+    """
     require_nb_irreducible(g)
     lam = _lambda(g)
-    for path in suspended_path_decomposition(g):
-        if path.g_value != lam:
-            return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=path)
+    ex = _exponents(g)
+    paths = _suspended_paths(g)
+    first = paths.order[paths.start]
+    last = paths.order[paths.start + paths.length - 1]
+    # indeg of a dart is outdeg of its reverse
+    balance = g.dart_count * (ex.rows[last] + ex.rows[g.dart_reverse[first]])
+    balance -= (2 * paths.length)[:, None] * ex.total
+    bad = np.flatnonzero((balance != 0).any(axis=1))
+    if bad.size:
+        worst = int(bad[np.argmin(paths.smallest[bad])])
+        return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=paths.path(g, worst))
     return ConditionVerdict(holds=True, lambda_exact=lam)
 
 
-def _bfs_tree(offsets: list[int], flat: list[int], root: int) -> tuple[list[Optional[int]], list[int]]:
-    """Parent dart of each dart, and visit order, in a BFS of the
-    transition digraph given as successor lists."""
-    parent: list[Optional[int]] = [None] * (len(offsets) - 1)
-    order = [root]
-    seen = [False] * len(parent)
+def _bfs(g: Graph, root: int, target: Optional[int] = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Breadth-first search of the transition digraph from ``root``.
+
+    Returns each dart's parent, its first discoverer in queue order (-1 at
+    the root and at undiscovered darts), and the darts of each level in
+    queue order; with a ``target`` it stops at the level that finds it.
+    The successors of e are the darts leaving head(e) except rev(e), so
+    only the first two arrivals at a vertex discover anything: the first
+    every dart leaving it but the reverse of its own arrival dart, the
+    next one, at the same or a later level, that reverse.
+    """
+    d, v = g.dart_count, g.vertex_count
+    head, rev = g.dart_head, g.dart_reverse
+    offsets, flat = g.out_dart_table
+    parent = np.full(d, -1, dtype=np.int64)
+    seen = np.zeros(d, dtype=bool)
     seen[root] = True
-    i = 0
-    while i < len(order):
-        e = order[i]
-        i += 1
-        for f in flat[offsets[e]:offsets[e + 1]]:
-            if not seen[f]:
-                seen[f] = True
-                parent[f] = e
-                order.append(f)
-    if not all(seen):
-        raise ConsistencyError("transition digraph is not strongly connected")
-    return parent, order
+    first_arrival = np.full(v, -1, dtype=np.int64)
+    level = np.array([root], dtype=np.int64)
+    levels = [level]
+    while target is None or not seen[target]:
+        # the first and second arrival at each head vertex of this level
+        level_heads = head[level]
+        by_head = np.argsort(level_heads, kind="stable")
+        heads = level_heads[by_head]
+        lead = np.ones(len(heads), dtype=bool)
+        lead[1:] = heads[1:] != heads[:-1]
+        group = np.cumsum(lead) - 1
+        verts, first = heads[lead], by_head[lead]
+        second = np.full(len(verts), -1, dtype=np.int64)
+        follow = np.flatnonzero(~lead & np.append(False, lead[:-1]))
+        second[group[follow]] = by_head[follow]
+
+        known = first_arrival[verts] >= 0
+        new = ~known
+        arrival = level[first[new]]
+        first_arrival[verts[new]] = arrival
+        lo = offsets[verts[new]]
+        count = offsets[verts[new] + 1] - lo
+        fan = flat[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        fan_owner = np.repeat(first[new], count)
+        keep = fan != np.repeat(rev[arrival], count)
+        has_second = second[new] >= 0
+        candidates = np.concatenate(
+            (fan[keep], rev[arrival[has_second]], rev[first_arrival[verts[known]]])
+        )
+        owners = np.concatenate((fan_owner[keep], second[new][has_second], first[known]))
+        fresh = ~seen[candidates]
+        key = np.sort(owners[fresh] * d + candidates[fresh])
+        level_darts = key % d
+        if not len(level_darts):
+            break
+        parent[level_darts] = level[key // d]
+        seen[level_darts] = True
+        level = level_darts
+        levels.append(level)
+    return parent, levels
 
 
-def _bfs_path(offsets: list[int], flat: list[int], source: int, target: int) -> list[int]:
+def _bfs_path(g: Graph, source: int, target: int) -> list[int]:
     """Shortest dart sequence source..target along transitions."""
-    if source == target:
-        return [source]
-    parent: dict[int, int] = {source: source}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for f in flat[offsets[e]:offsets[e + 1]]:
-                if f not in parent:
-                    parent[f] = e
-                    if f == target:
-                        path = [target]
-                        while path[-1] != source:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(f)
-        frontier = nxt
-    raise ConsistencyError("no transition path between darts of an irreducible graph")
-
-
-def _cycle_balance(g: Graph, cycle: list[int], lam: ExactValue) -> ExactValue:
-    """prod(outdeg(e) for e in cycle) / lam**len(cycle), exactly."""
-    value = ExactValue()
-    for e in cycle:
-        value = value * ExactValue.from_integer(g.out_degree(e))
-    return value / (lam ** len(cycle))
+    parent, _ = _bfs(g, source, target)
+    if target != source and parent[target] < 0:
+        raise ConsistencyError("no transition path between darts of an irreducible graph")
+    return _tree_path(parent, source, target)
 
 
 def check_cycle_condition(g: Graph) -> ConditionVerdict:
@@ -222,62 +339,82 @@ def check_cycle_condition(g: Graph) -> ConditionVerdict:
     certifies the criterion for all cycles at once (the relation telescopes
     around any cycle).  Otherwise a violating transition combines with
     return paths into an explicit violating cycle.
+
+    phi is kept as Phi = D log phi in integer prime exponents, so each arc
+    adds ``step[e] = total - D v(outdeg e)``; all arcs are checked at once
+    through the vertices (the successors of e are the darts leaving head(e)
+    except rev(e)).
     """
     require_nb_irreducible(g)
     lam = _lambda(g)
-    offsets, flat = (a.tolist() for a in g.successor_table)
+    ex = _exponents(g)
+    d = g.dart_count
+    step = ex.total - d * ex.rows
     root = 0
-    parent, order = _bfs_tree(offsets, flat, root)
+    parent, levels = _bfs(g, root)
+    if (parent < 0).sum() > 1:
+        raise ConsistencyError("transition digraph is not strongly connected")
+    phi = np.zeros_like(step)
+    for level in levels[1:]:
+        above = parent[level]
+        phi[level] = phi[above] + step[above]
 
-    phi: list[Optional[ExactValue]] = [None] * g.dart_count
-    phi[root] = ExactValue.one()
-    for f in order[1:]:
-        e = parent[f]
-        phi[f] = phi[e] * lam / ExactValue.from_integer(g.out_degree(e))
+    # every successor f of e must carry phi[e] + step[e]; compare it with a
+    # reference successor (the smallest or, if that is rev e, the second
+    # smallest dart leaving head e) and count the successors unlike that one
+    expected = phi + step
+    tail, head, rev = g.dart_tail, g.dart_head, g.dart_reverse
+    offsets, flat = g.out_dart_table
+    smallest, next_smallest = flat[offsets[:-1]], flat[offsets[:-1] + 1]
 
-    bad_arc = None
-    for e in range(g.dart_count):
-        expected = phi[e] * lam / ExactValue.from_integer(g.out_degree(e))
-        for f in flat[offsets[e]:offsets[e + 1]]:
-            if phi[f] != expected:
-                bad_arc = (e, f)
-                break
-        if bad_arc:
-            break
+    def unlike(ref):
+        """Per dart f, whether phi[f] differs from phi[ref[tail f]]; per
+        vertex, how many of the darts leaving it do."""
+        off = (phi != phi[ref[tail]]).any(axis=1)
+        return off, np.bincount(tail[off], minlength=g.vertex_count)
 
-    if bad_arc is None:
-        potential = {d: phi[d] for d in range(g.dart_count)}
-        return ConditionVerdict(holds=True, lambda_exact=lam, potential=potential)
+    off_a, count_a = unlike(smallest)
+    off_b, count_b = unlike(next_smallest)
+    skip = rev == smallest[head]
+    reference = np.where(skip, next_smallest[head], smallest[head])
+    others_unlike = np.where(skip, count_b[head] - off_b[rev], count_a[head] - off_a[rev])
+    bad = (others_unlike > 0) | (phi[reference] != expected).any(axis=1)
 
-    e, f = bad_arc
+    if not bad.any():
+        potential = _Potential(ex.primes, d, phi)
+        return ConditionVerdict(holds=True, lambda_exact=lam, phi=potential)
+
+    e = int(np.argmax(bad))
+    successors = flat[offsets[head[e]]:offsets[head[e] + 1]]
+    successors = successors[successors != rev[e]]
+    f = int(successors[np.argmax((phi[successors] != expected[e]).any(axis=1))])
     # Tree paths from the root have consistent potentials, so of the two
     # closed walks below at least one must break the product identity:
     # their balances differ by exactly the bad arc's discrepancy.
     tree_to_e = _tree_path(parent, root, e)
     tree_to_f = _tree_path(parent, root, f)
-    back = _bfs_path(offsets, flat, f, root)
+    back = _bfs_path(g, f, root)
     cycle_a = tree_to_e + back[:-1]  # root..e, arc e->f, f..(pred of root)
     cycle_b = tree_to_f + back[1:-1]  # root..f, f's continuation back to root
     for cycle in (cycle_a, cycle_b):
-        if not _cycle_balance(g, cycle, lam).is_one():
+        if (step[cycle].sum(axis=0) != 0).any():
             _assert_nb_cycle(g, cycle)
             return ConditionVerdict(holds=False, lambda_exact=lam, witness_cycle=tuple(cycle))
     raise ConsistencyError("inconsistent potential produced no violating cycle")
 
 
-def _tree_path(parent: list[Optional[int]], root: int, target: int) -> list[int]:
+def _tree_path(parent: np.ndarray, root: int, target: int) -> list[int]:
     path = [target]
     while path[-1] != root:
-        path.append(parent[path[-1]])
+        path.append(int(parent[path[-1]]))
     return path[::-1]
 
 
 def _assert_nb_cycle(g: Graph, cycle: list[int]) -> None:
-    offsets, flat = g.successor_table
-    for i, e in enumerate(cycle):
-        f = cycle[(i + 1) % len(cycle)]
-        if f not in flat[offsets[e]:offsets[e + 1]]:
-            raise ConsistencyError("constructed witness is not a closed non-backtracking walk")
+    darts = np.asarray(cycle)
+    following = np.roll(darts, -1)
+    if np.any(g.dart_tail[following] != g.dart_head[darts]) or np.any(following == g.dart_reverse[darts]):
+        raise ConsistencyError("constructed witness is not a closed non-backtracking walk")
 
 
 def path_growth_function(g: Graph) -> list[ExactValue]:
@@ -585,6 +722,13 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
 
     The two exact criteria are both evaluated and must agree; disagreement
     raises :class:`ConsistencyError` since it can only mean a bug.
+
+    When they hold, the potential is a positive Perron vector: every
+    continuation f of e has phi(f) = phi(e) * Lambda / outdeg(e), so
+    B phi = Lambda phi, and one matvec brackets rho.  Otherwise (or if
+    floating point cannot resolve that bracket to ``rel_tol``) rho comes
+    from the shifted power iteration, warm-started from phi when there is
+    one.
     """
     path_verdict = check_suspended_path_condition(g)
     cycle_verdict = check_cycle_condition(g)
@@ -594,7 +738,11 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
         )
     lam = path_verdict.lambda_exact
     lam_float = float(lam)
-    rho = perron(build_nb_matrix(g), rel_tol=rel_tol)
+    start = None
+    if cycle_verdict.phi is not None:
+        log_phi = cycle_verdict.phi.log()
+        start = np.exp(np.maximum(log_phi - log_phi.max(), -700.0))  # stays a positive normal float
+    rho = perron(factored_nb_operator(g), rel_tol=rel_tol, start=start)
     return GrowthVerdict(
         equal=path_verdict.holds,
         lambda_exact=lam,

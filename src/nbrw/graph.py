@@ -102,6 +102,11 @@ class Graph:
         hi = self._out_darts_offsets[vertex + 1]
         return [int(d) for d in self._out_darts_flat[lo:hi]]
 
+    @property
+    def out_dart_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(offsets, flat)`` of the darts leaving each vertex, ascending."""
+        return self._out_darts_offsets, self._out_darts_flat
+
     def out_degree(self, dart_index: int) -> int:
         """Number of non-backtracking continuations: degree(head) - 1."""
         return int(self.degrees[self.dart_head[dart_index]]) - 1
@@ -130,6 +135,18 @@ class Graph:
         np.cumsum(counts - 1, out=offsets[1:])
         offsets.flags.writeable = flat.flags.writeable = False
         return offsets, flat
+
+    @cached_property
+    def chain_successor(self) -> np.ndarray:
+        """The only successor of each dart whose head has degree two, -1 for
+        every other dart.  Built on first use, so read-only."""
+        chain = np.flatnonzero(self.degrees[self.dart_head] == 2)
+        first = self._out_darts_offsets[self.dart_head[chain]]
+        a, b = self._out_darts_flat[first], self._out_darts_flat[first + 1]
+        successor = np.full(self.dart_count, -1, dtype=np.int64)
+        successor[chain] = np.where(a == self.dart_reverse[chain], b, a)
+        successor.flags.writeable = False
+        return successor
 
     @cached_property
     def irreducibility(self) -> IrreducibilityVerdict:

@@ -9,6 +9,10 @@ column per legal continuation):
 
 The interpolation ``M_t`` (entry-wise ``P**(1-t) * B**t``) is the beta
 variant with ``beta(e) = outdeg(e)**t``.
+
+``B`` also factors through the vertices, ``B = T S - J`` (head incidence
+times out-incidence, minus the reversal), which :class:`FactoredNbOperator`
+applies in O(darts) time and memory without forming the transition arcs.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ class PowerIterationError(RuntimeError):
         self.iterations = iterations
 
 
+# iterations without a new narrowest bracket after which perron gives up
+_STALL_ITERATIONS = 1000
+
+
 @dataclass(frozen=True)
 class NbOperator:
     """A sparse operator over darts together with its construction kind."""
@@ -45,6 +53,42 @@ class NbOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class FactoredNbOperator:
+    """The adjacency operator ``B`` applied through the vertices in O(darts).
+
+    ``(Bx)(e) = z[plus[e]] - z[minus[e]]`` over ``z = (outsum, x, 0)``, with
+    ``outsum[v]`` the sum of x over the darts leaving v: at a head of degree
+    two, ``plus`` picks x of e's only successor and ``minus`` the 0, so the
+    value is exact; elsewhere they pick ``outsum[head e]`` and ``x[rev e]``.
+    Where ``x[rev e]`` outweighs the difference (at most one dart per
+    vertex) the subtraction would cancel, so there the other out-darts are
+    summed directly; every entry keeps full relative accuracy.
+    """
+
+    tail: np.ndarray
+    head: np.ndarray
+    reverse: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    vertex_count: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.tail), len(self.tail))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        z = np.concatenate((np.bincount(self.tail, x, self.vertex_count), x, [0.0]))
+        sub = z[self.minus]
+        y = z[self.plus] - sub
+        hit = y < sub
+        if hit.any():
+            rest = x.copy()
+            rest[self.reverse[hit]] = 0.0
+            y[hit] = np.bincount(self.tail, rest, self.vertex_count)[self.head[hit]]
+        return y
 
 
 def require_nb_irreducible(g: Graph) -> None:
@@ -61,6 +105,19 @@ def build_nb_matrix(g: Graph) -> NbOperator:
     data = np.ones(len(indices), dtype=np.float64)
     m = sp.csr_matrix((data, indices, indptr), shape=(g.dart_count, g.dart_count))
     return NbOperator(matrix=m, kind="adjacency")
+
+
+def factored_nb_operator(g: Graph) -> FactoredNbOperator:
+    """The adjacency operator of :func:`build_nb_matrix` in O(darts) memory."""
+    if g.vertex_count == 0 or int(g.degrees.min()) < 2:
+        raise PreconditionError("adjacency operator requires minimum degree >= 2")
+    head, rev = g.dart_head, g.dart_reverse
+    successor = g.chain_successor
+    chain = successor >= 0
+    v, d = g.vertex_count, g.dart_count
+    plus = np.where(chain, v + successor, head)
+    minus = np.where(chain, v + d, v + rev)
+    return FactoredNbOperator(g.dart_tail, head, rev, plus, minus, v)
 
 
 def build_transition_matrix(g: Graph) -> NbOperator:
@@ -102,40 +159,50 @@ def stationary_distribution(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerronResult:
+    """Perron value with its Collatz-Wielandt bracket ``low <= value <= high``,
+    ``high - low <= rel_tol * low``; each iteration is one matvec."""
+
     value: float
     iterations: int
     rel_tol: float
+    low: float
+    high: float
 
 
-def _as_matrix(op) -> sp.csr_matrix:
+def _as_matrix(op):
     if isinstance(op, NbOperator):
         return op.matrix
+    if isinstance(op, FactoredNbOperator):
+        return op
     if sp.issparse(op):
         return op.tocsr()
     return sp.csr_matrix(np.asarray(op, dtype=np.float64))
 
 
-def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None) -> PerronResult:
+def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) -> PerronResult:
     """Largest eigenvalue of a non-negative irreducible operator.
 
-    Power-iterates ``op + I`` (same Perron vector, spectrum shifted by one,
-    which defeats the periodicity of subdivided graphs) and subtracts one
-    from the result.  Convergence is certified by the min/max ratio bounds:
-    for a positive iterate v, the Perron value of ``op + I`` always lies
-    between min and max of ``((op + I) v) / v``, so the returned bracket
-    midpoint has relative error <= rel_tol.
+    For a positive vector v the Perron value lies between min and max of
+    ``(op v) / v`` (Collatz-Wielandt).  Each iteration evaluates that
+    bracket and returns its midpoint once ``high - low <= rel_tol * low``;
+    otherwise v moves to ``(op + I) v`` (same Perron vector, spectrum
+    shifted by one, which defeats the periodicity of subdivided graphs).
+    A ``start`` close to the Perron vector returns after one iteration.
 
     Parameters
     ----------
-    op : NbOperator, sparse matrix, or 2d array
-    rel_tol : certified relative error bound of the result
+    op : NbOperator, FactoredNbOperator, sparse matrix, or 2d array
+    rel_tol : certified relative width of the returned bracket
     max_iter : iteration cap; defaults to ``100 n log n + 1000``
+    start : positive initial vector; defaults to the constant vector
 
     Raises
     ------
     PowerIterationError
-        If the bracket does not tighten within ``max_iter`` iterations; the
-        exception carries the last midpoint estimate.
+        If the bracket does not tighten within ``max_iter`` iterations, or
+        stops narrowing for ``_STALL_ITERATIONS`` iterations (its width
+        never grows in exact arithmetic, so that is rounding noise above
+        ``rel_tol``); the exception carries the last midpoint estimate.
     """
     m = _as_matrix(op)
     n = m.shape[0]
@@ -146,19 +213,32 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None) -> PerronRes
     if max_iter is None:
         max_iter = int(100 * n * max(math.log(n), 1.0)) + 1000
 
-    v = np.full(n, 1.0 / n)
+    v = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=np.float64)
+    if v.shape != (n,) or not np.all(v > 0) or not np.all(np.isfinite(v)):
+        raise ValueError("start must be a finite positive vector, one entry per row")
     low = high = 0.0
+    narrowest, narrowed_at = math.inf, 0
     for iteration in range(1, max_iter + 1):
-        w = m @ v + v
+        w = m @ v
         ratios = w / v
         low = float(ratios.min())
         high = float(ratios.max())
         if high - low <= rel_tol * low:
-            return PerronResult(value=(low + high) / 2.0 - 1.0, iterations=iteration, rel_tol=rel_tol)
+            return PerronResult((low + high) / 2.0, iteration, rel_tol, low, high)
+        if high - low < narrowest:
+            narrowest, narrowed_at = high - low, iteration
+        elif iteration - narrowed_at >= _STALL_ITERATIONS:
+            raise PowerIterationError(
+                f"the Perron bracket stopped narrowing at relative width {narrowest / low:.1e}, "
+                f"above rel_tol={rel_tol}: floating point cannot resolve it further",
+                last_estimate=(low + high) / 2.0,
+                iterations=iteration,
+            )
+        w += v
         v = w / np.linalg.norm(w)
     raise PowerIterationError(
         f"no convergence to rel_tol={rel_tol} within {max_iter} iterations",
-        last_estimate=(low + high) / 2.0 - 1.0,
+        last_estimate=(low + high) / 2.0,
         iterations=max_iter,
     )
 
@@ -174,7 +254,7 @@ def cover_growth_rate(g: Graph, rel_tol: float = 1e-12) -> float:
     an NB-irreducible graph.
     """
     require_nb_irreducible(g)
-    return perron_value(build_nb_matrix(g), rel_tol=rel_tol)
+    return perron_value(factored_nb_operator(g), rel_tol=rel_tol)
 
 
 def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:

@@ -255,3 +255,43 @@ def test_walk_csv_probabilities_sum_to_one(k4e_file, tmp_path, capsys):
     rows = target.read_text().strip().splitlines()[1:]
     total = sum(float(line.split(",")[1]) for line in rows)
     assert abs(total - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1e-17", "abc"])
+def test_analyze_bad_tol_exit_64(k4e_file, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", k4e_file, "--tol", tol])
+    assert exc.value.code == 64
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_analyze_unresolved_rho_exit_2(k4e_file, capsys, monkeypatch):
+    from nbrw import PowerIterationError, cli
+
+    def stalled(g, rel_tol):
+        raise PowerIterationError("the Perron bracket stopped narrowing", last_estimate=1.5, iterations=1000)
+
+    monkeypatch.setattr(cli, "growth_verdict", stalled)
+    code, _, err = run_cli(capsys, "analyze", k4e_file)
+    assert code == 2
+    assert "stopped narrowing" in err
+
+
+@pytest.mark.parametrize(
+    "family, tol, equal",
+    [(["k4e"], 1e-12, False), (["wheel", "--n", "5", "--l1", "2", "--l2", "3"], 1e-14, True)],
+)
+def test_analyze_reports_rho_bracket(tmp_path, capsys, family, tol, equal):
+    path = tmp_path / "g.txt"
+    run_cli(capsys, "gen", *family, "-o", str(path))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json", "--tol", str(tol))
+    assert code == (0 if equal else 1)
+    rho = json.loads(out)["rho"]
+    assert rho["low"] <= rho["value"] <= rho["high"]
+    assert rho["high"] - rho["low"] <= tol * rho["low"]
+    assert rho["matvecs"] == rho["iterations"]
+    if equal:
+        # the potential is a Perron vector: one matvec certifies rho = lambda
+        assert rho["matvecs"] == 1
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--tol", str(tol))
+    assert f"bracket [{rho['low']:.15g}, {rho['high']:.15g}]" in out

@@ -16,6 +16,9 @@ from nbrw import (
     cover_growth_rate,
     enumerate_nb_walks,
     average_growth_rate,
+    check_cycle_condition,
+    equal_growth_wheel,
+    factored_nb_operator,
     interpolation_matrix,
     perron,
     perron_value,
@@ -23,7 +26,7 @@ from nbrw import (
     wheel_graph,
 )
 
-from _corpus import random_nb_irreducible
+from _corpus import random_nb_irreducible, random_regular
 
 
 def test_b_matrix_k4e(k4e):
@@ -216,3 +219,59 @@ def test_weighted_perron_jensen_lower_bound():
         value = perron_value(build_weighted_matrix(g, beta), rel_tol=1e-10)
         geo = float(np.exp(np.mean(np.log(beta))))
         assert value >= geo - 1e-9
+
+
+def test_factored_operator_matches_matrix_on_corpus():
+    rng = random.Random(717)
+    for _ in range(200):
+        g = random_nb_irreducible(rng)
+        np_rng = np.random.default_rng(rng.randrange(2**32))
+        # a dynamic range of 1e60 makes outsum - x[rev] cancel wherever x[rev] dominates
+        x = 10.0 ** np_rng.uniform(-30, 30, g.dart_count)
+        expected = build_nb_matrix(g).matrix @ x
+        assert np.allclose(factored_nb_operator(g) @ x, expected, rtol=1e-14, atol=0)
+
+
+def test_factored_operator_resolves_dominated_vertices():
+    # K5 with two 60-edge loops on vertex 0: the Perron vector spans 3**60
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    nv = 5
+    for _ in range(2):
+        prev = 0
+        for _ in range(59):
+            edges.append((prev, nv))
+            prev, nv = nv, nv + 1
+        edges.append((prev, 0))
+    g = build_graph(nv, edges)
+    result = perron(factored_nb_operator(g), rel_tol=1e-13)
+    assert abs(result.value - perron_value(build_nb_matrix(g), rel_tol=1e-13)) <= 1e-12
+
+
+def test_perron_bracket_contains_value(k4e):
+    result = perron(factored_nb_operator(k4e), rel_tol=1e-12)
+    assert result.low <= result.value <= result.high
+    assert result.high - result.low <= 1e-12 * result.low
+
+
+def test_potential_start_certifies_in_one_matvec():
+    for g in (equal_growth_wheel(4), complete_bipartite_graph(2, 3), random_regular(random.Random(5))):
+        phi = check_cycle_condition(g).phi
+        result = perron(factored_nb_operator(g), start=np.exp(phi.log()))
+        assert result.iterations == 1
+        assert result.low <= float(average_growth_rate(g)[0]) <= result.high
+
+
+def test_perron_rejects_non_positive_start(k4e):
+    with pytest.raises(ValueError):
+        perron(build_nb_matrix(k4e), start=np.zeros(k4e.dart_count))
+
+
+def test_perron_gives_up_when_the_bracket_stops_narrowing():
+    # rounding keeps this bracket a few ulps wide, far above 1e-18, so the
+    # iteration must stop on the stall instead of running to max_iter
+    g = wheel_graph(9, 3, 4)
+    with pytest.raises(PowerIterationError) as err:
+        perron(build_nb_matrix(g), rel_tol=1e-18)
+    assert err.value.iterations < 5000
+    assert "stopped narrowing" in str(err.value)
+    assert abs(err.value.last_estimate - perron_value(build_nb_matrix(g))) <= 1e-11

@@ -1,4 +1,6 @@
-"""Kernel selection: compiled extension if built, numpy fallback otherwise.
+"""Kernel selection: the C extension ``_walk`` if built (``setup.py``
+compiles ``_walk.c`` with any C compiler), the numpy fallback otherwise.
+Both produce identical output.
 
 Set NBRW_PURE_PYTHON=1 to force the fallback (used by the benchmark and
 the equivalence tests).

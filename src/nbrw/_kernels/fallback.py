@@ -24,19 +24,20 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def sample_counts(seed, first_sample, length, succ_flat, succ_offsets, value_index, out_counts, out_end):
+def sample_counts(seed, first_sample, length, out_flat, dart_table, value_index, out_counts, out_end):
     with np.errstate(over="ignore"):  # uint64 wraparound is the whole point
-        _sample_counts(seed, first_sample, length, succ_flat, succ_offsets, value_index, out_counts, out_end)
+        _sample_counts(seed, first_sample, length, out_flat, dart_table, value_index, out_counts, out_end)
 
 
-def _sample_counts(seed, first_sample, length, succ_flat, succ_offsets, value_index, out_counts, out_end):
+def _sample_counts(seed, first_sample, length, out_flat, dart_table, value_index, out_counts, out_end):
     n_samples = out_counts.shape[0]
-    n_darts = np.uint64(len(succ_offsets) - 1)
+    n_darts = np.uint64(len(out_flat))
     run = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + _SEED_TWEAK)
     streams = np.arange(first_sample, first_sample + n_samples, dtype=np.uint64)
     keys = _mix64(run + (streams + np.uint64(1)) * _GOLDEN)
 
-    outdeg = np.diff(succ_offsets).astype(np.uint64)
+    first, skip, outdeg = dart_table
+    outdeg = outdeg.astype(np.uint64)
     rows = np.arange(n_samples)
 
     u = _mix64(keys + _GOLDEN)
@@ -47,6 +48,7 @@ def _sample_counts(seed, first_sample, length, succ_flat, succ_offsets, value_in
         counted = vi >= 0
         out_counts[rows[counted], vi[counted]] += 1
         u = _mix64(keys + np.uint64(i + 1) * _GOLDEN)
-        j = (u % d).astype(np.int64)  # d == 1 gives j == 0, matching the scalar rule
-        cur = succ_flat[succ_offsets[cur] + j].astype(np.int64)
+        k = first[cur] + (u % d).astype(np.int64)  # d == 1 gives j == 0, matching the scalar rule
+        k += k >= skip[cur]  # step over reverse(cur)
+        cur = out_flat[k]
     out_end[:] = cur.astype(np.int32)

@@ -26,10 +26,10 @@ from .families import (
     subdivide,
     wheel_graph,
 )
-from .graph import Graph, GraphError, IrreducibilityVerdict, format_graph_text, parse_graph_text
-from .operators import PowerIterationError, PreconditionError
+from .graph import Graph, IrreducibilityVerdict, format_graph_text, load_graph, parse_graph_text
+from .operators import PowerIterationError
 from .variance import asymptotic_variance, variance_report
-from .walks import CapabilityError, distribution_csv, exact_bit_distribution, histogram_csv, run_walks
+from .walks import distribution_csv, exact_bit_distribution, histogram_csv, run_walks
 
 EXIT_EQUAL = 0
 EXIT_STRICT = 1
@@ -57,10 +57,7 @@ def _tolerance(text: str) -> float:
 
 
 def _load_graph_arg(path: str) -> Graph:
-    if path == "-":
-        return parse_graph_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    return parse_graph_text(sys.stdin.read()) if path == "-" else load_graph(path)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -306,13 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (GraphError, PreconditionError, CapabilityError, PowerIterationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    # invalid graphs, unmet preconditions and CapabilityError are ValueErrors
+    except (FileNotFoundError, PowerIterationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import ExactValue, factorize, geometric_mean
-from .graph import HALF_LOOP, WHOLE_LOOP, Graph, build_graph
+from .graph import Graph, build_graph
 from .operators import (
     PerronResult,
     PreconditionError,
@@ -441,71 +441,53 @@ def _induced_subgraph(g: Graph, edge_ids: set[int]) -> tuple[Graph, dict[int, in
     return sub, dict(enumerate(_darts_of_edges(g, edge_ids)))
 
 
-def _edge_degrees(g: Graph, edge_ids: set[int]) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for i in edge_ids:
-        a, b, kind = g.edges[i]
-        if kind == HALF_LOOP:
-            deg[a] = deg.get(a, 0) + 1
-        elif kind == WHOLE_LOOP:
-            deg[a] = deg.get(a, 0) + 2
-        else:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-    return deg
-
-
 def _prune_to_min_degree_two(g: Graph, edge_ids: set[int]) -> set[int]:
     """Drop edges at degree-deficient vertices until min degree >= 2."""
     edges = set(edge_ids)
     while edges:
-        deg = _edge_degrees(g, edges)
-        weak = {v for v, d in deg.items() if d < 2}
-        if not weak:
+        # a vertex's degree is the number of darts leaving it
+        weak = np.bincount(g.dart_tail[_darts_of_edges(g, edges)], minlength=g.vertex_count) == 1
+        if not weak.any():
             return edges
-        edges = {i for i in edges if not (g.edges[i][0] in weak or g.edges[i][1] in weak)}
+        edges = {i for i in edges if not (weak[g.edges[i][0]] or weak[g.edges[i][1]])}
     return edges
 
 
 def _edge_components(g: Graph, edge_ids: set[int]) -> list[set[int]]:
-    remaining = set(edge_ids)
-    components = []
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        comp = {seed}
-        verts = set(g.edges[seed][:2])
-        changed = True
-        while changed:
-            changed = False
-            for i in list(remaining - comp):
-                a, b, _ = g.edges[i]
-                if a in verts or b in verts:
-                    comp.add(i)
-                    verts.update((a, b))
-                    changed = True
-        components.append(comp)
-        remaining -= comp
-    return components
+    """The edges grouped by connected component (union-find over vertices),
+    in the order of each component's smallest edge."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i in edge_ids:
+        parent[find(g.edges[i][0])] = find(g.edges[i][1])
+    components: dict[int, set[int]] = {}
+    for i in sorted(edge_ids):
+        components.setdefault(find(g.edges[i][0]), set()).add(i)
+    return list(components.values())
 
 
 def _darts_of_edges(g: Graph, edge_ids: set[int]) -> list[int]:
-    return [d for d in range(g.dart_count) if int(g.dart_edge[d]) in edge_ids]
+    return np.flatnonzero(np.isin(g.dart_edge, list(edge_ids))).tolist()
 
 
 def _trace_cycle(sub: Graph, dart_map: dict[int, int]) -> list[int]:
     """Follow unique continuations in an all-degree-two graph, from the
     smallest original dart, until the start dart repeats."""
-    offsets, flat = (a.tolist() for a in sub.successor_table)
+    successor = sub.chain_successor.tolist()
     start = min(range(sub.dart_count), key=lambda d: dart_map[d])
     cycle = [start]
     while True:
         e = cycle[-1]
-        if offsets[e + 1] - offsets[e] != 1:
+        if successor[e] < 0:
             raise ConsistencyError("cycle trace found a branching dart")
-        if flat[offsets[e]] == start:
+        if successor[e] == start:
             break
-        cycle.append(flat[offsets[e]])
+        cycle.append(successor[e])
         if len(cycle) > sub.dart_count:
             raise ConsistencyError("cycle trace did not close")
     return [dart_map[d] for d in cycle]
@@ -600,7 +582,8 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     the optimum.  All comparisons are exact.
     """
     n = g.dart_count
-    offsets, flat = (a.tolist() for a in g.successor_table)
+    offsets, flat = (a.tolist() for a in g.out_dart_table)
+    head, reverse = g.dart_head.tolist(), g.dart_reverse.tolist()
     best: list[list[Optional[ExactValue]]] = [[None] * n for _ in range(n + 1)]
     parent: list[list[Optional[int]]] = [[None] * n for _ in range(n + 1)]
     best[0][0] = ExactValue.one()
@@ -611,7 +594,9 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
             if du is None:
                 continue
             through = du * f[u]
-            for v in flat[offsets[u]:offsets[u + 1]]:
+            for v in flat[offsets[head[u]]:offsets[head[u] + 1]]:
+                if v == reverse[u]:
+                    continue
                 known = best[k][v]
                 if known is None or through > known:
                     best[k][v] = through
@@ -656,12 +641,7 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
         reduced.append(node)
     if not cycles:
         raise ConsistencyError("max-mean walk contained no cycle")
-    means = [(geometric_mean([f[d] for d in c]), i) for i, c in enumerate(cycles)]
-    top = means[0]
-    for item in means[1:]:
-        if item[0] > top[0]:
-            top = item
-    return cycles[top[1]]
+    return max(cycles, key=lambda c: geometric_mean([f[d] for d in c]))  # the first of equals
 
 
 def _best_component(
@@ -675,10 +655,7 @@ def _best_component(
     for comp in components:
         darts = _darts_of_edges(g, comp)
         scored.append((geometric_mean([f[d] for d in darts]), min(darts), comp))
-    best_mean = scored[0][0]
-    for mean, _, _ in scored[1:]:
-        if mean > best_mean:
-            best_mean = mean
+    best_mean = max(mean for mean, _, _ in scored)
     ties = sorted((smallest, comp) for mean, smallest, comp in scored if mean == best_mean)
     return ties[0][1], best_mean
 

@@ -10,7 +10,7 @@ exponents into big integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log
+from math import lcm, log
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -91,11 +91,7 @@ class ExactValue:
         diff = self / other
         if not diff._exponents:
             return 0
-        denominator_lcm = 1
-        for q in diff._exponents.values():
-            d = q.denominator
-            g = _gcd(denominator_lcm, d)
-            denominator_lcm = denominator_lcm // g * d
+        denominator_lcm = lcm(*(q.denominator for q in diff._exponents.values()))
         numerator = 1
         denominator = 1
         for p, q in diff._exponents.items():
@@ -149,12 +145,6 @@ class ExactValue:
             for p, q in self._exponents.items()
         )
         return f"ExactValue({parts})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def geometric_mean(values: list[ExactValue]) -> ExactValue:

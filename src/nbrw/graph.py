@@ -118,25 +118,6 @@ class Graph:
         return self.degrees[self.dart_head] - 1
 
     @cached_property
-    def successor_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(offsets, flat)`` of the non-backtracking successor relation.
-
-        Row e, ``flat[offsets[e]:offsets[e + 1]]``, is :func:`dart_transitions`
-        of e.  Built on first use and shared by every module, so read-only.
-        """
-        counts = self.degrees[self.dart_head]
-        row_start = np.cumsum(counts) - counts
-        # every out-dart of each dart's head, then drop the dart's own reverse
-        positions = np.repeat(self._out_darts_offsets[self.dart_head] - row_start, counts)
-        positions += np.arange(len(positions))
-        candidates = self._out_darts_flat[positions]
-        flat = candidates[candidates != np.repeat(self.dart_reverse, counts)]
-        offsets = np.zeros(self.dart_count + 1, dtype=np.int64)
-        np.cumsum(counts - 1, out=offsets[1:])
-        offsets.flags.writeable = flat.flags.writeable = False
-        return offsets, flat
-
-    @cached_property
     def chain_successor(self) -> np.ndarray:
         """The only successor of each dart whose head has degree two, -1 for
         every other dart.  Built on first use, so read-only."""
@@ -178,14 +159,8 @@ def build_graph(vertex_count: int, edge_list: list[tuple[int, int] | tuple[int, 
     Kinds are ``"normal"`` (default), ``"whole_loop"`` and ``"half_loop"``;
     a normal edge with equal endpoints is stored as a whole-loop.
     """
-    edges = []
-    for item in edge_list:
-        if len(item) == 2:
-            a, b = item  # type: ignore[misc]
-            edges.append((a, b, NORMAL))
-        else:
-            edges.append(tuple(item))  # type: ignore[arg-type]
-    return Graph(vertex_count, edges)
+    edges = [(*item, NORMAL) if len(item) == 2 else tuple(item) for item in edge_list]
+    return Graph(vertex_count, edges)  # type: ignore[arg-type]
 
 
 def dart_transitions(g: Graph, dart_index: int) -> list[int]:
@@ -195,8 +170,8 @@ def dart_transitions(g: Graph, dart_index: int) -> list[int]:
     the reversed edge is a legal continuation.  A half-loop dart is its own
     reverse and is therefore excluded from its own continuations.
     """
-    offsets, flat = g.successor_table
-    return flat[offsets[dart_index]:offsets[dart_index + 1]].tolist()
+    reverse = int(g.dart_reverse[dart_index])
+    return [f for f in g.out_darts(int(g.dart_head[dart_index])) if f != reverse]
 
 
 def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:

@@ -10,9 +10,10 @@ column per legal continuation):
 The interpolation ``M_t`` (entry-wise ``P**(1-t) * B**t``) is the beta
 variant with ``beta(e) = outdeg(e)**t``.
 
-``B`` also factors through the vertices, ``B = T S - J`` (head incidence
-times out-incidence, minus the reversal), which :class:`FactoredNbOperator`
-applies in O(darts) time and memory without forming the transition arcs.
+``B`` factors through the vertices, ``B = T S - J`` (head incidence times
+out-incidence, minus the reversal): the matrices are built from that
+product, and :class:`FactoredNbOperator` applies it in O(darts) time and
+memory without forming the transition arcs.
 """
 
 from __future__ import annotations
@@ -97,14 +98,22 @@ def require_nb_irreducible(g: Graph) -> None:
         raise PreconditionError(f"requires NB-irreducibility, got {g.irreducibility.value}")
 
 
+def _adjacency_csr(g: Graph) -> sp.csr_matrix:
+    """``T S - J`` as a CSR matrix; the subtraction drops each (e, reverse e)."""
+    n, v = g.dart_count, g.vertex_count
+    ones = np.ones(n)
+    darts = np.arange(n)
+    head = sp.csr_matrix((ones, (darts, g.dart_head)), shape=(n, v))
+    out = sp.csr_matrix((ones, (g.dart_tail, darts)), shape=(v, n))
+    reverse = sp.csr_matrix((ones, (darts, g.dart_reverse)), shape=(n, n))
+    return head @ out - reverse
+
+
 def build_nb_matrix(g: Graph) -> NbOperator:
     """0/1 adjacency operator of the dart-transition relation."""
     if g.vertex_count == 0 or int(g.degrees.min()) < 2:
         raise PreconditionError("adjacency operator requires minimum degree >= 2")
-    indptr, indices = g.successor_table
-    data = np.ones(len(indices), dtype=np.float64)
-    m = sp.csr_matrix((data, indices, indptr), shape=(g.dart_count, g.dart_count))
-    return NbOperator(matrix=m, kind="adjacency")
+    return NbOperator(matrix=_adjacency_csr(g), kind="adjacency")
 
 
 def factored_nb_operator(g: Graph) -> FactoredNbOperator:
@@ -123,10 +132,9 @@ def factored_nb_operator(g: Graph) -> FactoredNbOperator:
 def build_transition_matrix(g: Graph) -> NbOperator:
     """Row-stochastic walk transition matrix (rows scaled by 1/outdeg)."""
     require_nb_irreducible(g)
-    indptr, indices = g.successor_table
-    outdeg = np.diff(indptr)
-    data = np.repeat(1.0 / outdeg, outdeg)
-    m = sp.csr_matrix((data, indices, indptr), shape=(g.dart_count, g.dart_count))
+    m = _adjacency_csr(g)
+    outdeg = np.diff(m.indptr)
+    m.data = np.repeat(1.0 / outdeg, outdeg)
     return NbOperator(matrix=m, kind="transition")
 
 
@@ -260,17 +268,20 @@ def cover_growth_rate(g: Graph, rel_tol: float = 1e-12) -> float:
 def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:
     """Exact number of non-backtracking walks of ``length`` steps from a dart.
 
-    Big-integer vector iteration: x <- B x starting from the all-ones
+    Big-integer vector iteration of the factored operator,
+    ``x[e] <- outsum[head e] - x[reverse e]`` starting from the all-ones
     vector, so the result never overflows.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     if not (0 <= dart_index < g.dart_count):
         raise ValueError("dart index out of range")
-    offsets, flat = (a.tolist() for a in g.successor_table)
+    leaving = [g.out_darts(v) for v in range(g.vertex_count)]
+    head, reverse = g.dart_head.tolist(), g.dart_reverse.tolist()
     x = [1] * g.dart_count
     for _ in range(length):
-        x = [sum(x[f] for f in flat[offsets[e]:offsets[e + 1]]) for e in range(g.dart_count)]
+        outsum = [sum(map(x.__getitem__, darts)) for darts in leaving]
+        x = list(map(int.__sub__, map(outsum.__getitem__, head), map(x.__getitem__, reverse)))
     return x[dart_index]
 
 

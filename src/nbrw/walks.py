@@ -56,19 +56,21 @@ def sample_walk(g: Graph, length: int, seed: int, stream: int = 0) -> WalkSample
     require_nb_irreducible(g)
     if length < 0:
         raise ValueError("length must be non-negative")
-    offsets, flat = g.successor_table
+    out_flat, dart_table, _, _ = _walk_tables(g)
+    out_flat, (first, skip, outdeg) = out_flat.tolist(), dart_table.tolist()
     key = _rng.stream_key(seed, stream)
     e = _rng.draw(key, 0) % g.dart_count
     darts = [e]
     bits = 0.0
     for i in range(1, length + 1):
-        d = int(offsets[e + 1] - offsets[e])
+        d = outdeg[e]
         if d > 1:
             bits += math.log2(d)
             j = _rng.draw(key, i) % d
         else:
             j = 0
-        e = int(flat[offsets[e] + j])
+        k = first[e] + j
+        e = out_flat[k + (k >= skip[e])]
         darts.append(e)
     return WalkSample(darts=tuple(darts), bits=bits)
 
@@ -111,10 +113,6 @@ class WalkBatch:
     def sample_count(self) -> int:
         return self.counts.shape[0]
 
-    def bits_per_sample(self) -> np.ndarray:
-        logs = np.log2(np.asarray(self.degrees, dtype=np.float64))
-        return self.counts @ logs
-
     def bit_stats(self) -> BitStats:
         n = self.sample_count
         if n < 2:
@@ -150,13 +148,25 @@ class WalkBatch:
 
 
 def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    indptr, indices = g.successor_table
-    degrees = tracked_degrees(g)
+    """``out_flat``, the darts grouped by tail; ``dart_table``, rows ``first``,
+    ``skip`` and ``outdeg`` with one column per dart; each dart's index into
+    the tracked degrees (-1 for outdeg 1); and the tracked degrees.
+
+    The successors of e are the darts leaving head(e), at ``first[e]``
+    onwards in ``out_flat``, minus reverse(e), at ``skip[e]``; so e's j-th
+    successor (ascending, j < outdeg(e)) is ``out_flat[k + (k >= skip[e])]``
+    with ``k = first[e] + j``.
+    """
+    offsets, out_flat = g.out_dart_table
+    position = np.empty(g.dart_count, dtype=np.int64)
+    position[out_flat] = np.arange(g.dart_count)
     outdeg = g.out_degree_vector()
+    dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg))
+    degrees = tracked_degrees(g)
     value_index = np.full(g.dart_count, -1, dtype=np.int8)
     for i, d in enumerate(degrees):
         value_index[outdeg == d] = i
-    return indices.astype(np.int32), indptr.astype(np.int64), value_index, degrees
+    return out_flat, dart_table, value_index, degrees
 
 
 def run_walks(
@@ -181,7 +191,7 @@ def run_walks(
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    succ_flat, succ_offsets, value_index, degrees = _walk_tables(g)
+    out_flat, dart_table, value_index, degrees = _walk_tables(g)
     counts = np.zeros((samples, len(degrees)), dtype=np.int64)
     end_darts = np.zeros(samples, dtype=np.int32)
     name, kernel = get_kernel(engine)
@@ -192,7 +202,7 @@ def run_walks(
     seed_word = seed & _rng.MASK64
 
     def run_chunk(lo: int, hi: int) -> None:
-        kernel(seed_word, lo, length, succ_flat, succ_offsets, value_index,
+        kernel(seed_word, lo, length, out_flat, dart_table, value_index,
                counts[lo:hi], end_darts[lo:hi])
 
     if len(chunks) == 1:
@@ -228,9 +238,6 @@ class ExactBitDistribution:
     degrees: tuple[int, ...]
     probabilities: dict[tuple[int, ...], Fraction]
 
-    def bits_of(self, counts: tuple[int, ...]) -> float:
-        return sum(c * math.log2(v) for c, v in zip(counts, self.degrees))
-
     def expected_counts(self) -> tuple[Fraction, ...]:
         """Exact expectation of each tracked degree's count."""
         totals = [Fraction(0)] * len(self.degrees)
@@ -245,11 +252,10 @@ class ExactBitDistribution:
     def variance_bits(self) -> float:
         """Variance of the bit total, from exact count moments."""
         k = len(self.degrees)
-        first = [Fraction(0)] * k
+        first = self.expected_counts()
         second = [[Fraction(0)] * k for _ in range(k)]
         for counts, p in self.probabilities.items():
             for i, ci in enumerate(counts):
-                first[i] += p * ci
                 for j, cj in enumerate(counts):
                     second[i][j] += p * ci * cj
         logs = [math.log2(v) for v in self.degrees]
@@ -291,29 +297,31 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
     dmax = max(degrees)
     field_bits = int(length * math.log2(dmax)) + n.bit_length() + 8
     inner = length + 1  # positions per count axis
-    shift_of_dart = []
-    for e in range(n):
-        d = g.out_degree(e)
-        if d == 1:
-            shift_of_dart.append(0)
-        else:
-            axis = degrees.index(d)
-            # axis 0 is the outer dimension when k == 2
-            pos = inner if (k == 2 and axis == 0) else 1
-            shift_of_dart.append(pos * field_bits)
+    field_of = {1: 0, degrees[-1]: 1}  # a dart with one continuation adds no count
+    if k == 2:
+        field_of[degrees[0]] = inner  # axis 0 is the outer dimension
+    shift_of_dart = [field_of[d] * field_bits for d in g.out_degree_vector().tolist()]
 
-    # predecessors of each dart, ascending: the transpose of the successor table
-    offsets, flat = g.successor_table
-    by_target = np.argsort(flat, kind="stable")
-    pred_flat = np.repeat(np.arange(n), np.diff(offsets))[by_target].tolist()
-    pred_offsets = np.searchsorted(flat[by_target], np.arange(n + 1)).tolist()
-    preds = [pred_flat[lo:hi] for lo, hi in zip(pred_offsets, pred_offsets[1:])]
+    # the predecessors of f are the darts entering tail(f), which are the
+    # reverses of the darts leaving it, minus reverse(f); where tail(f) has
+    # degree two that leaves one predecessor, which is read directly
+    successor = g.chain_successor
+    chain = np.flatnonzero(successor >= 0)
+    predecessor = np.full(n, -1, dtype=np.int64)
+    predecessor[successor[chain]] = chain
+    predecessor, tail, reverse = predecessor.tolist(), g.dart_tail.tolist(), g.dart_reverse.tolist()
+    entering = [
+        [reverse[f] for f in g.out_darts(v)] if degree > 2 else []
+        for v, degree in enumerate(g.degrees.tolist())
+    ]
 
     weights = [1] * n  # packed polynomial per dart, starts at count zero
     for _ in range(length):
+        weights = list(map(int.__lshift__, weights, shift_of_dart))
+        insum = [sum(map(weights.__getitem__, darts)) for darts in entering]
         weights = [
-            sum(weights[e] << shift_of_dart[e] for e in preds[f]) if preds[f] else 0
-            for f in range(n)
+            weights[p] if p >= 0 else insum[t] - weights[r]
+            for p, t, r in zip(predecessor, tail, reverse)
         ]
 
     total = sum(weights)
@@ -344,8 +352,9 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
 # --- CSV ----------------------------------------------------------------------
 
 
-def _merge_by_bit_value(degrees, entries):
-    """Aggregate (counts, weight) pairs whose bit values coincide.
+def _bits_csv(degrees, length, entries) -> str:
+    """CSV ``bits_per_step,probability`` of (counts, weight) pairs, merging
+    the pairs whose bit values coincide.
 
     Distinct count vectors can consume exactly the same number of bits
     (e.g. degrees 2 and 4: two 2-branches equal one 4-branch), so rows are
@@ -358,25 +367,19 @@ def _merge_by_bit_value(degrees, entries):
         for v, c in zip(degrees, counts):
             key *= v**c
         merged[key] = merged.get(key, 0.0) + weight
-    return sorted((math.log2(key), weight) for key, weight in merged.items())
+    scale = length if length else 1
+    lines = ["bits_per_step,probability"]
+    for bits, p in sorted((math.log2(key), weight) for key, weight in merged.items()):
+        lines.append(f"{bits / scale:.12g},{p:.12g}")
+    return "\n".join(lines) + "\n"
 
 
 def distribution_csv(dist: ExactBitDistribution) -> str:
     """CSV of the exact distribution: bits_per_step,probability."""
-    scale = dist.length if dist.length else 1
-    entries = [(counts, float(p)) for counts, p in dist.probabilities.items()]
-    lines = ["bits_per_step,probability"]
-    for bits, p in _merge_by_bit_value(dist.degrees, entries):
-        lines.append(f"{bits / scale:.12g},{p:.12g}")
-    return "\n".join(lines) + "\n"
+    return _bits_csv(dist.degrees, dist.length, [(c, float(p)) for c, p in dist.probabilities.items()])
 
 
 def histogram_csv(batch: WalkBatch) -> str:
     """CSV of the empirical bit distribution: bits_per_step,probability."""
-    scale = batch.length if batch.length else 1
     n = batch.sample_count
-    entries = [(counts, occurrences / n) for counts, occurrences in batch.histogram().items()]
-    lines = ["bits_per_step,probability"]
-    for bits, p in _merge_by_bit_value(batch.degrees, entries):
-        lines.append(f"{bits / scale:.12g},{p:.12g}")
-    return "\n".join(lines) + "\n"
+    return _bits_csv(batch.degrees, batch.length, [(c, k / n) for c, k in batch.histogram().items()])

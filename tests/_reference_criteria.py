@@ -2,7 +2,8 @@
 per-dart ``ExactValue`` products, a Python BFS, and one exact comparison
 per transition arc.
 
-Kept verbatim (apart from imports and an uncached ``_lambda``) as the oracle that
+Kept verbatim (apart from imports, an uncached ``_lambda`` and successor
+lists read from :func:`dart_transitions`) as the oracle that
 ``test_criteria_reference.py`` compares the integer-exponent criteria
 against: same verdicts, same path and cycle witnesses, same potentials.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from nbrw.exact import ExactValue
-from nbrw.graph import Graph
+from nbrw.graph import Graph, dart_transitions
 from nbrw.operators import PreconditionError, require_nb_irreducible
 
 
@@ -35,6 +36,15 @@ def average_growth_rate(g: Graph) -> tuple[ExactValue, float]:
         product = product * ExactValue.from_integer(g.out_degree(e))
     exact = product ** Fraction(1, g.dart_count)
     return exact, float(exact)
+
+
+def _successor_lists(g: Graph) -> tuple[list[int], list[int]]:
+    """CSR ``(offsets, flat)`` of :func:`dart_transitions`, as lists."""
+    offsets, flat = [0], []
+    for e in range(g.dart_count):
+        flat += dart_transitions(g, e)
+        offsets.append(len(flat))
+    return offsets, flat
 
 
 def _lambda(g: Graph) -> ExactValue:
@@ -69,7 +79,7 @@ def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
     are returned sorted by their smallest contained dart index.
     """
     require_nb_irreducible(g)
-    offsets, flat = (a.tolist() for a in g.successor_table)
+    offsets, flat = _successor_lists(g)
     paths = []
     seen = [False] * g.dart_count
     for start in range(g.dart_count):
@@ -210,7 +220,7 @@ def check_cycle_condition(g: Graph) -> ConditionVerdict:
     """
     require_nb_irreducible(g)
     lam = _lambda(g)
-    offsets, flat = (a.tolist() for a in g.successor_table)
+    offsets, flat = _successor_lists(g)
     root = 0
     parent, order = _bfs_tree(offsets, flat, root)
 
@@ -258,7 +268,7 @@ def _tree_path(parent: list[Optional[int]], root: int, target: int) -> list[int]
 
 
 def _assert_nb_cycle(g: Graph, cycle: list[int]) -> None:
-    offsets, flat = g.successor_table
+    offsets, flat = _successor_lists(g)
     for i, e in enumerate(cycle):
         f = cycle[(i + 1) % len(cycle)]
         if f not in flat[offsets[e]:offsets[e + 1]]:

@@ -14,6 +14,7 @@ from nbrw import (
     parse_graph_text,
 )
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
+from nbrw.walks import _walk_tables
 
 from _corpus import random_nb_irreducible
 
@@ -100,9 +101,10 @@ def test_parallel_reverse_edge_is_legal_successor():
     assert 3 in succ
 
 
-def test_successor_table_matches_definition_on_corpus():
-    """Row e of the cached table is every f with tail(f) = head(e) and
-    f != reverse(e), ascending, checked dart pair by dart pair."""
+def test_dart_transitions_match_definition_on_corpus():
+    """dart_transitions(g, e) is every f with tail(f) = head(e) and
+    f != reverse(e), ascending, checked dart pair by dart pair; the walk
+    kernels' first/skip lookup returns its j-th element for every j."""
     rng = random.Random(303)
     graphs = [random_nb_irreducible(rng, max_vertices=10, half_loop_prob=0.5) for _ in range(150)]
     graphs += [
@@ -115,17 +117,17 @@ def test_successor_table_matches_definition_on_corpus():
         kinds.update(kind for _, _, kind in g.edges)
         if len(set((min(a, b), max(a, b)) for a, b, _ in g.edges)) < len(g.edges):
             kinds.add("parallel")
-        offsets, flat = g.successor_table
-        assert g.successor_table is g.successor_table
-        assert not offsets.flags.writeable and not flat.flags.writeable
-        assert len(offsets) == g.dart_count + 1
+        out_flat, (first, skip, outdeg), _, _ = _walk_tables(g)
         for e in range(g.dart_count):
             expected = [
                 f for f in range(g.dart_count)
                 if g.dart_tail[f] == g.dart_head[e] and f != g.dart_reverse[e]
             ]
-            assert flat[offsets[e]:offsets[e + 1]].tolist() == expected
             assert dart_transitions(g, e) == expected
+            assert outdeg[e] == len(expected)
+            for j in range(outdeg[e]):
+                k = first[e] + j
+                assert out_flat[k + (k >= skip[e])] == expected[j]
     assert kinds >= {HALF_LOOP, WHOLE_LOOP, "parallel"}
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from nbrw import (
     PreconditionError,
     build_graph,
     complete_bipartite_graph,
+    count_nb_walks,
     dart_transitions,
     distribution_csv,
+    equal_growth_wheel,
     estimate_bit_stats,
     exact_bit_distribution,
     histogram_csv,
@@ -282,3 +285,25 @@ def test_half_loop_graph_engines_agree():
     b = run_walks(g, 40, 3000, seed=23, engine="python")
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.end_darts, b.end_darts)
+
+
+def test_hub_graph_walks_allocate_no_arc_table():
+    # hk10: 26,650 darts but 1.08 M transition arcs, almost all at its hub.
+    # Walks, the exact DP and the walk count read the O(darts) vertex tables;
+    # a per-arc successor table peaked at 28-73 MB in these calls.
+    g = equal_growth_wheel(10)
+    assert g.dart_count == 26_650
+    assert int((g.degrees * (g.degrees - 1)).sum()) == 1_078_300
+    assert g.irreducibility.value == "ok"  # computed before tracing
+    for call in (
+        lambda: run_walks(g, 10, 100, seed=1),
+        lambda: exact_bit_distribution(g, 2),
+        lambda: count_nb_walks(g, 0, 3),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000

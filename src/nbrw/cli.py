@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     if verdict is not IrreducibilityVerdict.OK:
         report["error"] = f"graph is not NB-irreducible: {verdict.value}"
         if args.json:
-            print(json.dumps(report, indent=2))
+            print(json.dumps(report))
         else:
             _print_graph_summary(report)
             print(f"error: {report['error']}")
@@ -129,7 +129,7 @@ def cmd_analyze(args) -> int:
         report["asymptotic_variance"] = 0.0 if result.equal else asymptotic_variance(g)
 
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         _print_analysis(report)
     return EXIT_EQUAL if result.equal else EXIT_STRICT
@@ -238,7 +238,7 @@ def cmd_pdf(args) -> int:
 
 def cmd_asymvar(args) -> int:
     g = _load_graph_arg(args.input)
-    print(json.dumps(variance_report(g, args.truncate).to_json(), indent=2))
+    print(json.dumps(variance_report(g, args.truncate).to_json()))
     return 0
 
 
@@ -306,6 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     # invalid graphs, unmet preconditions and CapabilityError are ValueErrors
     except (FileNotFoundError, PowerIterationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_INVALID
 
 

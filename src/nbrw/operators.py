@@ -20,11 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph, IrreducibilityVerdict
+
+# scipy.sparse takes most of the time of ``import nbrw``, and only the
+# per-arc matrix builders and perron on a matrix need it, so they import
+# it where they use it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class PreconditionError(ValueError):
@@ -100,6 +106,8 @@ def require_nb_irreducible(g: Graph) -> None:
 
 def _adjacency_csr(g: Graph) -> sp.csr_matrix:
     """``T S - J`` as a CSR matrix; the subtraction drops each (e, reverse e)."""
+    import scipy.sparse as sp
+
     n, v = g.dart_count, g.vertex_count
     ones = np.ones(n)
     darts = np.arange(n)
@@ -145,10 +153,8 @@ def build_weighted_matrix(g: Graph, beta: np.ndarray) -> NbOperator:
         raise PreconditionError(f"beta must have one weight per dart ({g.dart_count})")
     if np.any(beta <= 0):
         raise PreconditionError("beta weights must be strictly positive")
-    base = build_transition_matrix(g)
-    m = sp.csr_matrix(base.matrix, copy=True)
-    counts = np.diff(m.indptr)
-    m.data *= np.repeat(beta, counts)
+    m = build_transition_matrix(g).matrix  # freshly built, so it is scaled in place
+    m.data *= np.repeat(beta, np.diff(m.indptr))
     return NbOperator(matrix=m, kind="weighted")
 
 
@@ -182,6 +188,8 @@ def _as_matrix(op):
         return op.matrix
     if isinstance(op, FactoredNbOperator):
         return op
+    import scipy.sparse as sp
+
     if sp.issparse(op):
         return op.tocsr()
     return sp.csr_matrix(np.asarray(op, dtype=np.float64))

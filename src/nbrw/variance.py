@@ -21,6 +21,9 @@ B = T S - J of Bass), so x and y solve one sparse system of size D + V
 with O(D + V) nonzeros.  Its sparse LU never forms a D x D matrix: memory
 grows with D + V and the factor's fill, not with D**2.  The truncated sum
 doubles as an independent oracle for the solve.
+
+scipy is imported inside the solves, so importing this module costs no
+scipy import: only a command that solves pays for it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .conditions import _lambda
 from .graph import Graph
@@ -70,6 +72,7 @@ def _pinned_solve(a, rhs) -> np.ndarray:
 
     ``a`` is a sparse square matrix; duplicate COO entries add.
     """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     a = sp.coo_matrix(a)
@@ -92,6 +95,8 @@ def chain_asymptotic_variance(transition, stationary, values) -> float:
     matrix is nonsingular for any irreducible chain, periodic ones
     included.
     """
+    import scipy.sparse as sp
+
     p = sp.csr_matrix(transition, dtype=np.float64)
     pi = np.asarray(stationary, dtype=np.float64)
     f = np.asarray(values, dtype=np.float64)
@@ -115,6 +120,8 @@ def asymptotic_variance(g: Graph) -> float:
     Eliminating y leaves the pinned (I - P) x = f.  A half-loop is its
     own reverse; its two x entries add when the matrix is assembled.
     """
+    import scipy.sparse as sp
+
     require_nb_irreducible(g)
     f = centered_bit_values(g)
     d, v = g.dart_count, g.vertex_count

@@ -182,7 +182,8 @@ def run_walks(
     Sampling is embarrassingly parallel: sample s always uses stream s of
     the seed, and workers write disjoint slices, so the result does not
     depend on ``workers`` at all (it only affects speed).  The samples are
-    split into ``workers`` chunks, run on at most ``os.cpu_count()`` threads.
+    split into at most ``workers`` and at most ``os.cpu_count()`` chunks,
+    one thread each.
     """
     require_nb_irreducible(g)
     if length < 0:
@@ -196,7 +197,7 @@ def run_walks(
     end_darts = np.zeros(samples, dtype=np.int32)
     name, kernel = get_kernel(engine)
 
-    bounds = np.linspace(0, samples, min(workers, samples) + 1, dtype=np.int64)
+    bounds = np.linspace(0, samples, min(workers, os.cpu_count() or 1, samples) + 1, dtype=np.int64)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     seed_word = seed & _rng.MASK64
@@ -208,7 +209,7 @@ def run_walks(
     if len(chunks) == 1:
         run_chunk(*chunks[0])
     else:
-        with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(lambda c: run_chunk(*c), chunks))
     return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
 

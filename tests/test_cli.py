@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nbrw import parse_graph_text
+import nbrw
+from nbrw import check_cycle_condition, parse_graph_text
 from nbrw.cli import main
 
 
@@ -125,12 +130,17 @@ def test_analyze_json_equal_validates(tmp_path, capsys):
     run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "2", "--l2", "3", "-o", str(path))
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")  # compact: one line
     report = json.loads(out)
     schema = json.loads(
         importlib.resources.files("nbrw.schemas").joinpath("analysis_report.schema.json").read_text()
     )
     jsonschema.validate(report, schema)
-    assert report["cycle_condition"]["witness"]["type"] == "potential"
+    witness = report["cycle_condition"]["witness"]
+    assert witness["type"] == "potential"
+    # the potential read back equals the library's ExactValue map, built from Fractions
+    potential = check_cycle_condition(parse_graph_text(path.read_text())).potential
+    assert witness["phi"] == {str(d): value.as_pairs() for d, value in potential.items()}
 
 
 def test_analyze_variance_exactly_zero_on_equal_graph(tmp_path, capsys):
@@ -295,3 +305,56 @@ def test_analyze_reports_rho_bracket(tmp_path, capsys, family, tol, equal):
         assert rho["matvecs"] == 1
     code, out, _ = run_cli(capsys, "analyze", str(path), "--tol", str(tol))
     assert f"bracket [{rho['low']:.15g}, {rho['high']:.15g}]" in out
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
+def test_out_of_memory_exit_2(k4e_file, capsys, monkeypatch, message):
+    from nbrw import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_walks", exhausted)
+    code, _, err = run_cli(capsys, "walk", k4e_file, "--len", "5", "--samples", "10")
+    assert code == 2
+    assert err == f"error: out of memory{': ' + message if message else ''}\n"
+
+
+# Runs one command in a fresh interpreter and reports its exit code and the
+# scipy modules it left loaded, on the last line of standard error.
+_SCIPY_PROBE = """
+import sys
+from nbrw.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, sparse_solve",
+    [
+        (["gen", "k4e"], 0, False),
+        (["analyze", "{k4e}", "--json"], 1, False),
+        (["analyze", "{w523}", "--json", "--with-variance"], 0, False),  # the variance is exactly 0
+        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, False),
+        (["pdf", "{k4e}", "--len", "5"], 0, False),
+        (["asymvar", "{k4e}"], 0, True),
+        (["analyze", "{k4e}", "--with-variance"], 1, True),
+    ],
+    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "analyze-variance-strict"],
+)
+def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, expected_code, sparse_solve):
+    w523 = tmp_path / "w523.txt"
+    run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "2", "--l2", "3", "-o", str(w523))
+    src = str(Path(nbrw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [a.format(k4e=k4e_file, w523=w523) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert int(code) == expected_code, proc.stderr
+    if sparse_solve:
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert loaded == []

@@ -82,7 +82,7 @@ def test_chunking_never_depends_on_worker_count(k4e):
 
 def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
     # a recording stand-in runs the chunks in turn, so no thread starts
-    pool_sizes = []
+    pool_sizes, chunk_counts = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -95,6 +95,8 @@ def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            chunk_counts.append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(walks, "ThreadPoolExecutor", RecordingPool)
@@ -102,6 +104,7 @@ def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
     reference = run_walks(k4e, 29, 997, seed=31, workers=1)
     capped = run_walks(k4e, 29, 997, seed=31, workers=2000)
     assert pool_sizes == [3]
+    assert chunk_counts == [3]  # at most one chunk per thread, not one per requested worker
     assert np.array_equal(reference.counts, capped.counts)
     assert np.array_equal(reference.end_darts, capped.end_darts)
 

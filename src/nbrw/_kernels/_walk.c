@@ -44,7 +44,7 @@ static PyObject *sample_counts(PyObject *self, PyObject *args)
         return NULL;
     npy_intp n_darts = PyArray_DIM((PyArrayObject *)flat_obj, 0);
     const int64_t *first = data_of(table_obj, "dart_table", NPY_INT64, 2, 3, 0);
-    const int8_t *value_index = first ? data_of(value_obj, "value_index", NPY_INT8, 1, n_darts, 0) : NULL;
+    const int32_t *value_index = first ? data_of(value_obj, "value_index", NPY_INT32, 1, n_darts, 0) : NULL;
     int64_t *out_counts = value_index ? data_of(counts_obj, "out_counts", NPY_INT64, 2, -1, 1) : NULL;
     if (!out_counts)
         return NULL;

@@ -106,23 +106,7 @@ def cmd_analyze(args) -> int:
         return EXIT_INVALID
 
     result = growth_verdict(g, rel_tol=args.tol)
-    report.update(
-        {
-            "lambda": {"float": result.lambda_float, "exact": result.lambda_exact.as_pairs()},
-            "rho": {
-                "value": result.rho,
-                "rel_tol": args.tol,
-                "iterations": result.perron.iterations,
-                "low": result.perron.low,
-                "high": result.perron.high,
-                "matvecs": result.perron.iterations,  # one operator application each
-            },
-            "suspended_path_condition": result.path_condition.to_json(),
-            "cycle_condition": result.cycle_condition.to_json(),
-            "verdict": result.status,
-            "gap": result.gap,
-        }
-    )
+    report.update(result.to_json())
     if args.with_variance:
         # equal rates: the cycle criterion's potential makes f a coboundary,
         # so the bit total telescopes and its variance is exactly 0

@@ -684,13 +684,21 @@ class GrowthVerdict:
         return "equal" if self.equal else "strict"
 
     def to_json(self) -> dict:
+        """The verdict keys of the ``analyze --json`` report, in its order."""
         return {
-            "verdict": self.status,
             "lambda": {"float": self.lambda_float, "exact": self.lambda_exact.as_pairs()},
-            "rho": self.rho,
-            "gap": self.gap,
+            "rho": {
+                "value": self.rho,
+                "rel_tol": self.perron.rel_tol,
+                "iterations": self.perron.iterations,
+                "low": self.perron.low,
+                "high": self.perron.high,
+                "matvecs": self.perron.iterations,  # one operator application each
+            },
             "suspended_path_condition": self.path_condition.to_json(),
             "cycle_condition": self.cycle_condition.to_json(),
+            "verdict": self.status,
+            "gap": self.gap,
         }
 
 

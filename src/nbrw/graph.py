@@ -140,8 +140,6 @@ class Graph:
 
 def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, int, str]:
     """Validate one edge; a normal edge with equal endpoints becomes a whole-loop."""
-    if vertex_count < 0:
-        raise GraphError("vertex_count must be non-negative")
     if kind not in _EDGE_KINDS:
         raise GraphError(f"unknown edge kind {kind!r}")
     if not (0 <= a < vertex_count and 0 <= b < vertex_count):
@@ -214,6 +212,10 @@ def _is_connected(g: Graph) -> bool:
 # "nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
 # means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
 
+# every vertex costs a few words in the dart tables, so a header alone could
+# ask for gigabytes; at this size analyze stays under a second and 100 MB
+_MAX_VERTEX_COUNT = 2**22
+
 
 def parse_graph_text(text: str) -> Graph:
     vertex_count = None
@@ -230,6 +232,8 @@ def parse_graph_text(text: str) -> Graph:
                 vertex_count = int(fields[1])
             except ValueError:
                 raise GraphParseError(lineno, f"invalid vertex count {fields[1]!r}") from None
+            if not 0 <= vertex_count <= _MAX_VERTEX_COUNT:
+                raise GraphParseError(lineno, f"vertex count {vertex_count} is outside 0..{_MAX_VERTEX_COUNT}")
             continue
         if fields[0] == "e" and len(fields) == 3:
             kind, ends, what = NORMAL, fields[1:], "edge endpoints"

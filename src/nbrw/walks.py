@@ -6,11 +6,12 @@ consumption is an integer vector counting how often each distinct
 branching degree (> 1) was left, and bit values are reconstructed as
 sum(count * log2(degree)) only at the edges of the API.
 
-The exact distribution is a dynamic program over (dart, count vector)
-with big-integer walk counts; each state's probability has the closed
-form  count / (dart_count * prod(degree**count)).  Count polynomials are
-packed into single big integers (fixed-width coefficient fields) so the
-per-step shift-and-add runs at C speed.
+The exact distribution is a dynamic program over the reachable (dart,
+count vector) states with big-integer walk counts; each state's
+probability has the closed form  count / (dart_count * prod(degree**count)).
+Each dart keeps one dict from count vector, as one integer key, to walk
+count, so an equal graph, whose bit total telescopes, stores a few states
+per dart at any length.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[in
     outdeg = g.out_degree_vector()
     dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg))
     degrees = tracked_degrees(g)
-    value_index = np.full(g.dart_count, -1, dtype=np.int8)
+    value_index = np.full(g.dart_count, -1, dtype=np.int32)
     for i, d in enumerate(degrees):
         value_index[outdeg == d] = i
     return out_flat, dart_table, value_index, degrees
@@ -276,11 +277,23 @@ class ExactBitDistribution:
         return float(tv / 2)
 
 
+def _sum_of_maps(maps) -> dict[int, int]:
+    total: dict[int, int] = {}
+    for m in maps:
+        for key, c in m.items():
+            total[key] = total.get(key, 0) + c
+    return total
+
+
 def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
     """Exact distribution of the branch-count vector by dynamic programming.
 
-    Supports at most two distinct branching degrees (the state space is
-    O(dart_count * length**k) for k tracked degrees); raises
+    Each dart maps the count vectors of the walks that end at it, keyed
+    ``sum(c_i * (length + 1)**i)``, to their number; a step sums the maps
+    of each dart's predecessors and adds one degree's place value to every
+    key.  Only reachable vectors are stored: a few per dart when the rates
+    are equal, up to O(length**k) for k tracked degrees otherwise.
+    Supports at most two distinct branching degrees; raises
     :class:`CapabilityError` beyond that.
     """
     require_nb_irreducible(g)
@@ -294,59 +307,43 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
         )
 
     n = g.dart_count
-    # coefficient field width: walk counts never exceed n * dmax**length
-    dmax = max(degrees)
-    field_bits = int(length * math.log2(dmax)) + n.bit_length() + 8
-    inner = length + 1  # positions per count axis
-    field_of = {1: 0, degrees[-1]: 1}  # a dart with one continuation adds no count
-    if k == 2:
-        field_of[degrees[0]] = inner  # axis 0 is the outer dimension
-    shift_of_dart = [field_of[d] * field_bits for d in g.out_degree_vector().tolist()]
+    radix = length + 1  # no count exceeds length, so the key sum(c_i * radix**i) is one-to-one
+    step = {d: radix**i for i, d in enumerate(degrees)}
 
-    # the predecessors of f are the darts entering tail(f), which are the
-    # reverses of the darts leaving it, minus reverse(f); where tail(f) has
-    # degree two that leaves one predecessor, which is read directly
+    # the predecessors of f are the darts entering tail(f) except reverse(f),
+    # and each of them branches deg(tail f) - 1 ways; where tail(f) has degree
+    # two that leaves one predecessor, which does not branch, so f takes its
+    # map as it is
     successor = g.chain_successor
     chain = np.flatnonzero(successor >= 0)
     predecessor = np.full(n, -1, dtype=np.int64)
     predecessor[successor[chain]] = chain
-    predecessor, tail, reverse = predecessor.tolist(), g.dart_tail.tolist(), g.dart_reverse.tolist()
-    entering = [
-        [reverse[f] for f in g.out_darts(v)] if degree > 2 else []
+    predecessor, reverse = predecessor.tolist(), g.dart_reverse.tolist()
+    branching = [
+        (step[degree - 1], [(f, reverse[f]) for f in g.out_darts(v)])
         for v, degree in enumerate(g.degrees.tolist())
+        if degree > 2
     ]
 
-    weights = [1] * n  # packed polynomial per dart, starts at count zero
+    maps = [{0: 1}] * n  # per dart: count-vector key -> walks ending there; shared, never changed
     for _ in range(length):
-        weights = list(map(int.__lshift__, weights, shift_of_dart))
-        insum = [sum(map(weights.__getitem__, darts)) for darts in entering]
-        weights = [
-            weights[p] if p >= 0 else insum[t] - weights[r]
-            for p, t, r in zip(predecessor, tail, reverse)
-        ]
+        before, maps = maps, list(map(maps.__getitem__, predecessor))  # branching darts are set below
+        for s, darts in branching:
+            insum = _sum_of_maps(before[r] for _, r in darts)
+            for f, r in darts:
+                m = before[r]
+                maps[f] = {key + s: left for key, c in insum.items() if (left := c - m.get(key, 0))}
 
-    total = sum(weights)
-    mask = (1 << field_bits) - 1
     probabilities: dict[tuple[int, ...], Fraction] = {}
-    checksum = Fraction(0)
-    if k == 1:
-        for c in range(length + 1):
-            coeff = (total >> (c * field_bits)) & mask
-            if coeff:
-                p = Fraction(coeff, n * degrees[0] ** c)
-                probabilities[(c,)] = p
-                checksum += p
-    else:
-        for c0 in range(length + 1):
-            base = c0 * inner * field_bits
-            for c1 in range(length + 1 - c0):
-                coeff = (total >> (base + c1 * field_bits)) & mask
-                if coeff:
-                    p = Fraction(coeff, n * degrees[0] ** c0 * degrees[1] ** c1)
-                    probabilities[(c0, c1)] = p
-                    checksum += p
-    if checksum != 1:
-        raise RuntimeError("exact distribution does not sum to one; coefficient field overflow")
+    for key, walks in _sum_of_maps(maps).items():
+        counts = []
+        for _ in degrees:
+            key, c = divmod(key, radix)
+            counts.append(c)
+        probabilities[tuple(counts)] = Fraction(walks, n * math.prod(d**c for d, c in zip(degrees, counts)))
+    if sum(probabilities.values()) != 1:
+        raise RuntimeError("exact distribution does not sum to one")
+    probabilities = dict(sorted(probabilities.items()))  # the CSV merges equal bit values in this order
     return ExactBitDistribution(length=length, degrees=degrees, probabilities=probabilities)
 
 

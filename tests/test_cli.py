@@ -100,6 +100,14 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_analyze_huge_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("nbgraph 1000000000\ne 0 1\ne 1 2\ne 2 0\n")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "line 1:" in err
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/graph.txt")
     assert code == 2

@@ -216,6 +216,11 @@ def test_verdict_json_shapes(k4e, k4):
     assert equal["verdict"] == "equal"
     assert equal["suspended_path_condition"]["witness"] is None
     assert equal["cycle_condition"]["witness"]["type"] == "potential"
+    for report in (strict, equal):
+        rho = report["rho"]
+        assert list(rho) == ["value", "rel_tol", "iterations", "low", "high", "matvecs"]
+        assert rho["low"] <= rho["value"] <= rho["high"]
+        assert rho["rel_tol"] == 1e-12 and rho["matvecs"] == rho["iterations"] >= 1
 
 
 # --- improving cycle ----------------------------------------------------------

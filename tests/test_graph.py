@@ -208,6 +208,20 @@ def test_parse_large_header_reports_edge_line():
     assert "edge endpoint out of range: (0, 2000000)" in str(err.value)
 
 
+@pytest.mark.parametrize("header", ["nbgraph 1000000000", "nbgraph -1"])
+def test_parse_rejects_vertex_count_outside_bound_at_header(header):
+    # nbgraph 1000000000 would otherwise ask for about 15 GB of dart tables
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphParseError) as err:
+            parse_graph_text(header + "\ne 0 1\ne 1 2\ne 2 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line_number == 1
+    assert peak < 1_000_000
+
+
 def test_large_header_irreducibility_allocates_nothing_per_vertex():
     # fewer than V - 1 edges cannot connect V vertices; no union-find is built
     g = parse_graph_text("nbgraph 1000000\ne 0 1\ne 1 2\ne 2 0\n")

@@ -72,6 +72,28 @@ def test_compiled_kernel_rejects_bad_buffers(k4e):
             kernel(1, 0, 5, *args)
 
 
+def test_walks_count_more_than_127_branching_degrees():
+    # a cycle through 137 vertices, vertex i topped up with loops to degree
+    # 3 + i: outdegs 2..138 give 137 tracked degrees, more than int8 indexes
+    edges = [(i, (i + 1) % 137) for i in range(137)]
+    for i in range(137):
+        edges += [(i, i, WHOLE_LOOP)] * ((i + 1) // 2) + [(i, i, HALF_LOOP)] * ((i + 1) % 2)
+    g = build_graph(137, edges)
+    degrees = walks.tracked_degrees(g)
+    assert degrees == tuple(range(2, 139))
+    outdeg = g.out_degree_vector()
+    for engine in available_engines():
+        batch = run_walks(g, 10, 100, seed=3, workers=2, engine=engine)
+        for s in range(100):
+            darts = sample_walk(g, 10, seed=3, stream=s).darts
+            expected = np.zeros(len(degrees), dtype=np.int64)
+            for e in darts[:-1]:
+                if outdeg[e] > 1:
+                    expected[degrees.index(outdeg[e])] += 1
+            assert np.array_equal(batch.counts[s], expected), (engine, s)
+            assert batch.end_darts[s] == darts[-1]
+
+
 def test_chunking_never_depends_on_worker_count(k4e):
     reference = run_walks(k4e, 29, 997, seed=31, workers=1)
     for workers in (2, 3, 7, 997, 2000):

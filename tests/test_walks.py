@@ -9,9 +9,12 @@ import scipy.stats
 
 from nbrw import (
     CapabilityError,
+    ExactValue,
     PreconditionError,
     build_graph,
+    check_cycle_condition,
     complete_bipartite_graph,
+    complete_graph,
     count_nb_walks,
     dart_transitions,
     distribution_csv,
@@ -21,6 +24,7 @@ from nbrw import (
     histogram_csv,
     run_walks,
     sample_walk,
+    subdivide,
     tracked_degrees,
     truncated_variance,
     wheel_graph,
@@ -181,6 +185,49 @@ def test_exact_distribution_rejects_three_degrees():
     assert len(tracked_degrees(h)) > 2
     with pytest.raises(CapabilityError):
         exact_bit_distribution(h, 3)
+
+
+@pytest.mark.parametrize(
+    "build, lengths",
+    [
+        (lambda: wheel_graph(5, 2, 3), (1, 7, 40, 300)),
+        (lambda: equal_growth_wheel(4), (1, 7, 40)),
+        (lambda: equal_growth_wheel(5), (1, 7, 40)),
+        (lambda: subdivide(complete_graph(5), 3), (1, 7, 40)),  # each edge subdivided twice
+    ],
+    ids=["w523", "hk4", "hk5", "k5-subdivided"],
+)
+def test_exact_law_telescopes_on_equal_graphs(build, lengths):
+    # equal rates: phi(f) = phi(e) * lambda / outdeg(e) on every transition,
+    # so a walk e_0..e_l has prod outdeg(e_i) = lambda**l * phi(e_0) / phi(e_l)
+    g = build()
+    cycle = check_cycle_condition(g)
+    assert cycle.holds
+    potentials = set(cycle.potential.values())
+    ratios = {a / b for a in potentials for b in potentials}
+    for length in lengths:
+        dist = exact_bit_distribution(g, length)
+        scale = cycle.lambda_exact**length
+        for counts in dist.probabilities:
+            product = ExactValue()
+            for d, c in zip(dist.degrees, counts):
+                product = product * ExactValue.from_integer(d) ** c
+            assert product / scale in ratios, (length, counts)
+        assert len(distribution_csv(dist).splitlines()) - 1 <= len(potentials) ** 2
+
+
+def test_exact_law_keeps_only_reachable_states():
+    # equal rates keep the bit total within O(1) of its mean, so only a few
+    # count vectors per dart are reachable, not (l + 1)**2
+    g = wheel_graph(5, 2, 3)
+    tracemalloc.start()
+    try:
+        dist = exact_bit_distribution(g, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(dist.probabilities.values()) == 1
+    assert peak < 10_000_000
 
 
 def test_exact_distribution_variance_matches_truncated(k4e):

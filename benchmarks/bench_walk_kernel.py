@@ -3,8 +3,10 @@
 
 Both engines draw from the same counter-based stream and must produce
 identical count matrices; the benchmark verifies that while timing them.
+The header line gives the share of darts with outdeg 1: the kernels jump
+over those, so throughput grows with it.
 
-    python benchmarks/bench_walk_kernel.py --samples 100000 --len 1000
+    python benchmarks/bench_walk_kernel.py --samples 100000 --len 1000 --graph hk10
 """
 
 import argparse
@@ -12,13 +14,14 @@ import time
 
 import numpy as np
 
-from nbrw import k4_minus_edge, run_walks, wheel_graph
+from nbrw import equal_growth_wheel, k4_minus_edge, run_walks, wheel_graph
 from nbrw._kernels import available_engines
 
 GRAPHS = {
     "k4e": k4_minus_edge,
     "w523": lambda: wheel_graph(5, 2, 3),
     "w17-2-5": lambda: wheel_graph(17, 2, 5),
+    "hk10": lambda: equal_growth_wheel(10),
 }
 
 
@@ -34,7 +37,8 @@ def main() -> None:
 
     g = GRAPHS[args.graph]()
     steps = args.samples * args.length
-    print(f"graph={args.graph} darts={g.dart_count} samples={args.samples} "
+    path_share = float((g.out_degree_vector() == 1).mean())
+    print(f"graph={args.graph} darts={g.dart_count} outdeg-1 share={path_share:.2f} samples={args.samples} "
           f"length={args.length} workers={args.workers} ({steps:.2e} steps)")
 
     results = {}

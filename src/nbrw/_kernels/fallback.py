@@ -1,8 +1,10 @@
 """Vectorized numpy implementation of the walk-sampling kernel.
 
 Bit-identical to the compiled kernel: draws come from the same
-counter-based stream, successor choice is the same modulo reduction, and
-uint64 arithmetic wraps exactly like the C version.
+counter-based stream, successor choice is the same modulo reduction,
+uint64 arithmetic wraps exactly like the C version, and walks jump along
+suspended paths the same way.  Each walk keeps its own step counter, so
+the live walks advance together, one jump and one step per round.
 """
 
 from __future__ import annotations
@@ -36,19 +38,33 @@ def _sample_counts(seed, first_sample, length, out_flat, dart_table, value_index
     streams = np.arange(first_sample, first_sample + n_samples, dtype=np.uint64)
     keys = _mix64(run + (streams + np.uint64(1)) * _GOLDEN)
 
-    first, skip, outdeg = dart_table
+    first, skip, outdeg, anchor, dist = dart_table
     outdeg = outdeg.astype(np.uint64)
-    rows = np.arange(n_samples)
+    length = int(length)
 
-    u = _mix64(keys + _GOLDEN)
-    cur = (u % n_darts).astype(np.int64)
-    for i in range(1, int(length) + 1):
-        d = outdeg[cur]
+    # the live walks: sample row, stream key, current dart and steps taken
+    rows = np.arange(n_samples)
+    cur = (_mix64(keys + _GOLDEN) % n_darts).astype(np.int64)  # step 0: initial dart
+    steps = np.zeros(n_samples, dtype=np.int64)
+    while rows.size:
+        # jump to the end of a suspended path when the walk gets there
+        d = dist[cur]
+        jump = d <= length - steps  # always where d == 0, and anchor[cur] == cur there
+        cur = np.where(jump, anchor[cur], cur)
+        steps += np.where(jump, d, 0)
+        done = steps >= length
+        if done.any():
+            out_end[rows[done]] = cur[done]
+            live = ~done
+            rows, keys, cur, steps = rows[live], keys[live], cur[live], steps[live]
+        # one step, with draw number steps + 1; a walk that ends inside a
+        # path is on an outdeg-1 dart there, so the draw picks its one
+        # successor and nothing counts
         vi = value_index[cur]
         counted = vi >= 0
         out_counts[rows[counted], vi[counted]] += 1
-        u = _mix64(keys + np.uint64(i + 1) * _GOLDEN)
-        k = first[cur] + (u % d).astype(np.int64)  # d == 1 gives j == 0, matching the scalar rule
+        u = _mix64(keys + (steps.astype(np.uint64) + np.uint64(2)) * _GOLDEN)
+        k = first[cur] + (u % outdeg[cur]).astype(np.int64)
         k += k >= skip[cur]  # step over reverse(cur)
         cur = out_flat[k]
-    out_end[:] = cur.astype(np.int32)
+        steps += 1

@@ -56,6 +56,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _walk_length(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value >= 2**63:  # the kernels count steps in int64
+        raise argparse.ArgumentTypeError(f"must be below 2**63, got {text!r}")
+    return value
+
+
 def _load_graph_arg(path: str) -> Graph:
     return parse_graph_text(sys.stdin.read()) if path == "-" else load_graph(path)
 
@@ -261,7 +271,7 @@ def build_parser() -> _Parser:
 
     p_walk = sub.add_parser("walk", help="Monte Carlo bit statistics")
     p_walk.add_argument("input")
-    p_walk.add_argument("--len", dest="length", type=int, required=True)
+    p_walk.add_argument("--len", dest="length", type=_walk_length, required=True)
     p_walk.add_argument("--samples", type=int, required=True)
     p_walk.add_argument("--seed", type=int, default=0)
     p_walk.add_argument("--workers", type=int, default=1)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import ExactValue, factorize, geometric_mean
-from .graph import Graph, build_graph
+from .graph import Graph, SuspendedPaths, build_graph
 from .operators import (
     PerronResult,
     PreconditionError,
@@ -121,49 +121,10 @@ class SuspendedPath:
         return base ** Fraction(1, 2 * self.length)
 
 
-@dataclass(frozen=True)
-class _Paths:
-    """The suspended paths as arrays: ``order`` lists the darts path by
-    path, each along the walk; path i occupies ``order[start[i]:start[i] +
-    length[i]]`` and ``smallest[i]`` is its smallest dart."""
-
-    order: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
-    smallest: np.ndarray
-
-    def path(self, g: Graph, i: int) -> SuspendedPath:
-        darts = self.order[self.start[i]:self.start[i] + self.length[i]].tolist()
-        return SuspendedPath(
-            darts=tuple(darts), in_degree=g.in_degree(darts[0]), out_degree=g.out_degree(darts[-1])
-        )
-
-
-def _suspended_paths(g: Graph) -> _Paths:
-    """Paths start at darts with indeg > 1 and extend while outdeg is 1.
-
-    A dart with indeg 1 has one predecessor, the dart whose only successor
-    it is; pointer doubling over predecessors finds every dart's path start
-    and position in O(D log D).
-    """
-    require_nb_irreducible(g)
-    d = g.dart_count
-    is_start = g.degrees[g.dart_tail] > 2
-    chain = np.flatnonzero(g.chain_successor >= 0)
-    ancestor = np.arange(d)
-    ancestor[g.chain_successor[chain]] = chain  # the one predecessor of each dart with indeg 1
-    position = (~is_start).astype(np.int64)
-    for _ in range(d.bit_length() + 1):
-        if is_start[ancestor].all():
-            break
-        position += position[ancestor]
-        ancestor = ancestor[ancestor]
-    else:
-        raise ConsistencyError("suspended path did not terminate")
-    order = np.argsort(ancestor * d + position)
-    start = np.flatnonzero(position[order] == 0)
-    length = np.diff(np.append(start, d))
-    return _Paths(order, start, length, np.minimum.reduceat(order, start))
+def _path(g: Graph, paths: SuspendedPaths, i: int) -> SuspendedPath:
+    """Path i of the graph's path layout."""
+    darts = paths.order[paths.start[i]:paths.start[i] + paths.length[i]].tolist()
+    return SuspendedPath(darts=tuple(darts), in_degree=g.in_degree(darts[0]), out_degree=g.out_degree(darts[-1]))
 
 
 def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
@@ -172,8 +133,9 @@ def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
     Paths start at darts with indeg > 1, extend while outdeg stays 1, and
     are returned sorted by their smallest contained dart index.
     """
-    paths = _suspended_paths(g)
-    return [paths.path(g, i) for i in np.argsort(paths.smallest).tolist()]
+    require_nb_irreducible(g)
+    paths = g.suspended_paths
+    return [_path(g, paths, i) for i in np.argsort(paths.smallest).tolist()]
 
 
 @dataclass(frozen=True)
@@ -250,7 +212,7 @@ def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     require_nb_irreducible(g)
     lam = _lambda(g)
     ex = _exponents(g)
-    paths = _suspended_paths(g)
+    paths = g.suspended_paths
     first = paths.order[paths.start]
     last = paths.order[paths.start + paths.length - 1]
     # indeg of a dart is outdeg of its reverse
@@ -259,7 +221,7 @@ def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     bad = np.flatnonzero((balance != 0).any(axis=1))
     if bad.size:
         worst = int(bad[np.argmin(paths.smallest[bad])])
-        return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=paths.path(g, worst))
+        return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=_path(g, paths, worst))
     return ConditionVerdict(holds=True, lambda_exact=lam)
 
 

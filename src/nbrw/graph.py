@@ -51,6 +51,19 @@ class Dart:
     reverse_index: int
 
 
+@dataclass(frozen=True)
+class SuspendedPaths:
+    """The suspended paths as arrays: ``order`` lists the darts path by
+    path, each along the walk; path i occupies ``order[start[i]:start[i] +
+    length[i]]``, ends at its one dart with outdeg other than 1, and
+    ``smallest[i]`` is its smallest dart."""
+
+    order: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    smallest: np.ndarray
+
+
 class Graph:
     """Immutable undirected multigraph with a materialized dart table.
 
@@ -128,6 +141,39 @@ class Graph:
         successor[chain] = np.where(a == self.dart_reverse[chain], b, a)
         successor.flags.writeable = False
         return successor
+
+    @cached_property
+    def suspended_paths(self) -> SuspendedPaths:
+        """The darts laid out path by path (see :class:`SuspendedPaths`),
+        built on first use, so read-only; defined for every graph with no
+        cycle component.
+
+        Paths start at darts with indeg other than 1 (indeg > 1 on an
+        nb-irreducible graph) and extend while outdeg is 1.  A dart with
+        indeg 1 has one predecessor, the dart whose only successor it is;
+        pointer doubling over predecessors finds every dart's path start and
+        position in O(D log D).
+        """
+        d = self.dart_count
+        is_start = self.degrees[self.dart_tail] != 2
+        chain = np.flatnonzero(self.chain_successor >= 0)
+        ancestor = np.arange(d)
+        ancestor[self.chain_successor[chain]] = chain  # the one predecessor of each dart with indeg 1
+        position = (~is_start).astype(np.int64)
+        for _ in range(d.bit_length() + 1):
+            if is_start[ancestor].all():
+                break
+            position += position[ancestor]
+            ancestor = ancestor[ancestor]
+        else:
+            raise GraphError("suspended path did not terminate: the graph has a cycle component")
+        order = np.argsort(ancestor * d + position)
+        start = np.flatnonzero(position[order] == 0)
+        length = np.diff(np.append(start, d))
+        paths = SuspendedPaths(order, start, length, np.minimum.reduceat(order, start))
+        for array in vars(paths).values():
+            array.flags.writeable = False
+        return paths
 
     @cached_property
     def irreducibility(self) -> IrreducibilityVerdict:

@@ -58,7 +58,7 @@ def sample_walk(g: Graph, length: int, seed: int, stream: int = 0) -> WalkSample
     if length < 0:
         raise ValueError("length must be non-negative")
     out_flat, dart_table, _, _ = _walk_tables(g)
-    out_flat, (first, skip, outdeg) = out_flat.tolist(), dart_table.tolist()
+    out_flat, (first, skip, outdeg, _, _) = out_flat.tolist(), dart_table.tolist()
     key = _rng.stream_key(seed, stream)
     e = _rng.draw(key, 0) % g.dart_count
     darts = [e]
@@ -140,9 +140,11 @@ class WalkBatch:
         )
 
     def histogram(self) -> dict[tuple[int, ...], int]:
-        """Occurrences of each branch-count vector."""
-        uniq, counts = np.unique(self.counts, axis=0, return_counts=True)
-        return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, counts)}
+        """Occurrences of each branch-count vector, in ascending order."""
+        rows = self.counts[np.lexsort(self.counts.T[::-1])]  # the first column is the primary key
+        starts = np.flatnonzero(np.append(True, (rows[1:] != rows[:-1]).any(axis=1)))
+        runs = np.diff(np.append(starts, len(rows)))
+        return dict(zip(map(tuple, rows[starts].tolist()), runs.tolist()))
 
     def end_dart_counts(self) -> np.ndarray:
         return np.bincount(self.end_darts, minlength=self.dart_count)
@@ -150,19 +152,28 @@ class WalkBatch:
 
 def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """``out_flat``, the darts grouped by tail; ``dart_table``, rows ``first``,
-    ``skip`` and ``outdeg`` with one column per dart; each dart's index into
-    the tracked degrees (-1 for outdeg 1); and the tracked degrees.
+    ``skip``, ``outdeg``, ``anchor`` and ``dist`` with one column per dart;
+    each dart's index into the tracked degrees (-1 for outdeg 1); and the
+    tracked degrees.
 
     The successors of e are the darts leaving head(e), at ``first[e]``
     onwards in ``out_flat``, minus reverse(e), at ``skip[e]``; so e's j-th
     successor (ascending, j < outdeg(e)) is ``out_flat[k + (k >= skip[e])]``
-    with ``k = first[e] + j``.
+    with ``k = first[e] + j``.  ``anchor[e]`` is the last dart of e's
+    suspended path, the first one with outdeg > 1, and ``dist[e]`` the
+    number of steps from e to it: a walk on e reaches ``anchor[e]``
+    ``dist[e]`` steps later without a draw.
     """
     offsets, out_flat = g.out_dart_table
     position = np.empty(g.dart_count, dtype=np.int64)
     position[out_flat] = np.arange(g.dart_count)
     outdeg = g.out_degree_vector()
-    dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg))
+    paths = g.suspended_paths
+    last = np.repeat(paths.start + paths.length - 1, paths.length)  # each place's path end, in path order
+    anchor, dist = np.empty_like(position), np.empty_like(position)
+    anchor[paths.order] = paths.order[last]
+    dist[paths.order] = last - np.arange(g.dart_count)
+    dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg, anchor, dist))
     degrees = tracked_degrees(g)
     value_index = np.full(g.dart_count, -1, dtype=np.int32)
     for i, d in enumerate(degrees):
@@ -187,8 +198,8 @@ def run_walks(
     one thread each.
     """
     require_nb_irreducible(g)
-    if length < 0:
-        raise ValueError("length must be non-negative")
+    if not 0 <= length < 2**63:
+        raise ValueError("length must be non-negative and below 2**63")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if workers < 1:

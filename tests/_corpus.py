@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 
-from nbrw import Graph, IrreducibilityVerdict, build_graph, is_nb_irreducible
-from nbrw.graph import HALF_LOOP
+import numpy as np
+
+from nbrw import Graph, IrreducibilityVerdict, build_graph, is_nb_irreducible, sample_walk, tracked_degrees
+from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 
 def pairing_graph(rng: random.Random, degrees: list[int], half_loop_prob: float = 0.0) -> Graph:
@@ -79,3 +81,34 @@ def random_regular(rng: random.Random, degree: int = 3, max_vertices: int = 8) -
         g = pairing_graph(rng, [degree] * n)
         if is_nb_irreducible(g) is IrreducibilityVerdict.OK:
             return g
+
+
+def graphs_with_loops(rng: random.Random, count: int = 4) -> list[Graph]:
+    """NB-irreducible multigraphs, the first half with a half-loop and the
+    rest with a whole-loop, each with a suspended path of two darts or more."""
+    wanted = {HALF_LOOP: count // 2, WHOLE_LOOP: count - count // 2}
+    found: dict[str, list[Graph]] = {HALF_LOOP: [], WHOLE_LOOP: []}
+    while any(len(found[kind]) < n for kind, n in wanted.items()):
+        g = random_nb_irreducible(rng, max_vertices=8, half_loop_prob=0.5)
+        kinds = {kind for _, _, kind in g.edges}
+        for kind in (HALF_LOOP, WHOLE_LOOP):
+            if kind in kinds and len(found[kind]) < wanted[kind] and g.suspended_paths.length.max() >= 2:
+                found[kind].append(g)
+                break
+    return found[HALF_LOOP] + found[WHOLE_LOOP]
+
+
+def scalar_walk_counts(g: Graph, length: int, seed: int, streams) -> tuple[np.ndarray, np.ndarray]:
+    """Branch counts and end darts of ``sample_walk`` on each stream, one
+    row per stream: the per-step reference the batch kernels reproduce."""
+    degrees = tracked_degrees(g)
+    outdeg = g.out_degree_vector().tolist()
+    counts = np.zeros((len(streams), len(degrees)), dtype=np.int64)
+    ends = np.zeros(len(streams), dtype=np.int32)
+    for row, stream in enumerate(streams):
+        darts = sample_walk(g, length, seed, stream=stream).darts
+        for e in darts[:-1]:
+            if outdeg[e] > 1:
+                counts[row, degrees.index(outdeg[e])] += 1
+        ends[row] = darts[-1]
+    return counts, ends

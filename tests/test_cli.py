@@ -198,6 +198,17 @@ def test_walk_one_sample_rejected(k4e_file, capsys):
     assert "samples" in err
 
 
+@pytest.mark.parametrize("length", [str(2**63), "99999999999999999999"])
+def test_walk_len_beyond_int64_exit_64(k4e_file, capsys, monkeypatch, length):
+    # refused while the arguments are parsed: no graph is read, no walk starts
+    monkeypatch.setattr(nbrw.cli, "run_walks", None)
+    monkeypatch.setattr(nbrw.cli, "_load_graph_arg", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", k4e_file, "--len", length, "--samples", "100"])
+    assert exc.value.code == 64
+    assert "--len" in capsys.readouterr().err
+
+
 def test_walk_thread_env_cap(k4e_file, capsys, monkeypatch):
     monkeypatch.setenv("NBRW_THREADS", "1")
     code, out, _ = run_cli(capsys, "walk", k4e_file, "--len", "10", "--samples", "100", "--workers", "8")

@@ -104,7 +104,9 @@ def test_parallel_reverse_edge_is_legal_successor():
 def test_dart_transitions_match_definition_on_corpus():
     """dart_transitions(g, e) is every f with tail(f) = head(e) and
     f != reverse(e), ascending, checked dart pair by dart pair; the walk
-    kernels' first/skip lookup returns its j-th element for every j."""
+    kernels' first/skip lookup returns its j-th element for every j, and
+    their anchor/dist rows give the first dart with outdeg other than 1
+    reached along the single successors, and the number of steps to it."""
     rng = random.Random(303)
     graphs = [random_nb_irreducible(rng, max_vertices=10, half_loop_prob=0.5) for _ in range(150)]
     graphs += [
@@ -117,7 +119,7 @@ def test_dart_transitions_match_definition_on_corpus():
         kinds.update(kind for _, _, kind in g.edges)
         if len(set((min(a, b), max(a, b)) for a, b, _ in g.edges)) < len(g.edges):
             kinds.add("parallel")
-        out_flat, (first, skip, outdeg), _, _ = _walk_tables(g)
+        out_flat, (first, skip, outdeg, anchor, dist), _, _ = _walk_tables(g)
         for e in range(g.dart_count):
             expected = [
                 f for f in range(g.dart_count)
@@ -128,6 +130,10 @@ def test_dart_transitions_match_definition_on_corpus():
             for j in range(outdeg[e]):
                 k = first[e] + j
                 assert out_flat[k + (k >= skip[e])] == expected[j]
+            end, steps = e, 0
+            while len(dart_transitions(g, end)) == 1:
+                end, steps = dart_transitions(g, end)[0], steps + 1
+            assert (anchor[e], dist[e]) == (end, steps)
     assert kinds >= {HALF_LOOP, WHOLE_LOOP, "parallel"}
 
 

@@ -4,12 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from nbrw import build_graph, k4_minus_edge, run_walks, sample_walk, walks
+from nbrw import build_graph, k4_minus_edge, run_walks, sample_walk, walks, wheel_graph
 from nbrw._kernels import available_engines, get_kernel
 from nbrw._rng import MASK64, draw, mix64, stream_key
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
-from _corpus import random_nb_irreducible
+from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
 
 
 def test_mix64_reference_values():
@@ -48,6 +48,17 @@ def test_engines_agree_on_corpus():
         b = run_walks(g, 37, 500, seed=a.seed, engine="python")
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.end_darts, b.end_darts)
+    # walks that end inside a suspended path, in a chunk of 7 samples from sample 5
+    for g in [wheel_graph(5, 3, 12), *graphs_with_loops(rng)]:
+        out_flat, dart_table, value_index, degrees = walks._walk_tables(g)
+        for length in range(int(g.suspended_paths.length.max()) + 3):
+            counts, ends = scalar_walk_counts(g, length, 41, range(5, 12))
+            for engine in ("compiled", "python"):
+                got_counts = np.zeros_like(counts)
+                got_ends = np.zeros_like(ends)
+                get_kernel(engine)[1](41, 5, length, out_flat, dart_table, value_index, got_counts, got_ends)
+                assert np.array_equal(got_counts, counts), (g, length, engine)
+                assert np.array_equal(got_ends, ends), (g, length, engine)
 
 
 def test_compiled_kernel_rejects_bad_buffers(k4e):
@@ -58,15 +69,35 @@ def test_compiled_kernel_rejects_bad_buffers(k4e):
     counts = np.zeros((4, len(degrees)), dtype=np.int64)
     end = np.zeros(4, dtype=np.int32)
     kernel(1, 0, 5, out_flat, dart_table, value_index, counts, end)  # the tables run_walks passes
-    bad_skip = dart_table.copy()
-    bad_skip[1, 3] = bad_skip[0, 3] + bad_skip[2, 3] + 1
+
+    def altered(row, dart, value):
+        table = dart_table.copy()
+        table[row, dart] = value
+        return table
+
+    path_dart = int(np.flatnonzero(dart_table[4] > 0)[0])
+    anchor = int(dart_table[3, path_dart])
+    other_anchor = int(np.flatnonzero((dart_table[4] == 0) & (np.arange(k4e.dart_count) != anchor))[0])
+    bad_tables = [
+        altered(1, 3, dart_table[0, 3] + dart_table[2, 3] + 1),  # skip past the darts leaving head(3)
+        altered(3, path_dart, -1),
+        altered(3, path_dart, k4e.dart_count),
+        altered(3, path_dart, other_anchor),  # its successor has another anchor
+        altered(4, path_dart, 0),  # outdeg 1 but no distance
+        altered(4, path_dart, -1),
+        altered(4, path_dart, dart_table[4, path_dart] + 1),  # not one more than its successor's
+        altered(4, anchor, 1),  # a branching dart with a distance
+    ]
+    counted_path_dart = value_index.copy()
+    counted_path_dart[path_dart] = 0
     for args in (
         (out_flat.astype(np.int32), dart_table, value_index, counts, end),
         (out_flat, dart_table[:, :-1], value_index, counts, end),
         (out_flat, np.asfortranarray(dart_table), value_index, counts, end),
         (out_flat, dart_table, value_index[:-1], counts, end),
         (out_flat, dart_table, value_index, counts, end[:-1]),
-        (out_flat, bad_skip, value_index, counts, end),
+        (out_flat, dart_table, counted_path_dart, counts, end),
+        *((out_flat, table, value_index, counts, end) for table in bad_tables),
     ):
         with pytest.raises(ValueError):
             kernel(1, 0, 5, *args)
@@ -79,19 +110,12 @@ def test_walks_count_more_than_127_branching_degrees():
     for i in range(137):
         edges += [(i, i, WHOLE_LOOP)] * ((i + 1) // 2) + [(i, i, HALF_LOOP)] * ((i + 1) % 2)
     g = build_graph(137, edges)
-    degrees = walks.tracked_degrees(g)
-    assert degrees == tuple(range(2, 139))
-    outdeg = g.out_degree_vector()
+    assert walks.tracked_degrees(g) == tuple(range(2, 139))
+    counts, ends = scalar_walk_counts(g, 10, 3, range(100))
     for engine in available_engines():
         batch = run_walks(g, 10, 100, seed=3, workers=2, engine=engine)
-        for s in range(100):
-            darts = sample_walk(g, 10, seed=3, stream=s).darts
-            expected = np.zeros(len(degrees), dtype=np.int64)
-            for e in darts[:-1]:
-                if outdeg[e] > 1:
-                    expected[degrees.index(outdeg[e])] += 1
-            assert np.array_equal(batch.counts[s], expected), (engine, s)
-            assert batch.end_darts[s] == darts[-1]
+        assert np.array_equal(batch.counts, counts), engine
+        assert np.array_equal(batch.end_darts, ends), engine
 
 
 def test_chunking_never_depends_on_worker_count(k4e):

@@ -27,10 +27,12 @@ from nbrw import (
     subdivide,
     tracked_degrees,
     truncated_variance,
+    walks,
     wheel_graph,
 )
+from nbrw._kernels import available_engines
 
-from _corpus import random_nb_irreducible
+from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
 
 
 def brute_force_distribution(g, length):
@@ -91,13 +93,23 @@ def test_run_walks_deterministic_across_workers(k4e):
     assert np.array_equal(a.end_darts, b.end_darts)
 
 
-def test_run_walks_matches_scalar_walks(k4e):
+def test_run_walks_matches_scalar_walks(k4e, monkeypatch):
     batch = run_walks(k4e, 33, 50, seed=13)
     for s in (0, 7, 49):
         w = sample_walk(k4e, 33, seed=13, stream=s)
         assert w.darts[-1] == batch.end_darts[s]
         high = sum(1 for d in w.darts[:-1] if k4e.out_degree(d) > 1)
         assert high == batch.counts[s, 0]
+    # walks that end inside a suspended path, on every engine: 13 samples in
+    # three chunks, from samples 0, 4 and 8
+    monkeypatch.setattr(walks.os, "cpu_count", lambda: 3)
+    for g in [wheel_graph(5, 3, 12), *graphs_with_loops(random.Random(1313))]:
+        for length in range(int(g.suspended_paths.length.max()) + 3):
+            counts, ends = scalar_walk_counts(g, length, 13, range(13))
+            for engine in available_engines():
+                batch = run_walks(g, length, 13, seed=13, workers=3, engine=engine)
+                assert np.array_equal(batch.counts, counts), (g, length, engine)
+                assert np.array_equal(batch.end_darts, ends), (g, length, engine)
 
 
 def test_estimate_bit_stats_needs_two_samples(k4e):
@@ -293,8 +305,6 @@ def test_histogram_csv_deterministic(k4e):
 
 
 def test_engines_identical_when_both_present(k4e):
-    from nbrw._kernels import available_engines
-
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
     a = run_walks(k4e, 80, 4000, seed=10, engine="compiled")
@@ -323,8 +333,6 @@ def test_half_loop_graph_walks_and_distribution():
 
 
 def test_half_loop_graph_engines_agree():
-    from nbrw._kernels import available_engines
-
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
     g = half_loop_barbell()

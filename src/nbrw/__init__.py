@@ -57,6 +57,7 @@ from .operators import (
     enumerate_nb_walks,
     factored_nb_operator,
     interpolation_matrix,
+    nb_perron,
     perron,
     perron_value,
     stationary_distribution,

@@ -34,8 +34,7 @@ from .graph import Graph, SuspendedPaths, build_graph
 from .operators import (
     PerronResult,
     PreconditionError,
-    factored_nb_operator,
-    perron,
+    nb_perron,
     require_nb_irreducible,
 )
 
@@ -655,7 +654,7 @@ class GrowthVerdict:
                 "iterations": self.perron.iterations,
                 "low": self.perron.low,
                 "high": self.perron.high,
-                "matvecs": self.perron.iterations,  # one operator application each
+                "matvecs": self.perron.matvecs,
             },
             "suspended_path_condition": self.path_condition.to_json(),
             "cycle_condition": self.cycle_condition.to_json(),
@@ -672,10 +671,11 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
 
     When they hold, the potential is a positive Perron vector: every
     continuation f of e has phi(f) = phi(e) * Lambda / outdeg(e), so
-    B phi = Lambda phi, and one matvec brackets rho.  Otherwise (or if
-    floating point cannot resolve that bracket to ``rel_tol``) rho comes
-    from the shifted power iteration, warm-started from phi when there is
-    one.
+    B phi = Lambda phi, and one matvec brackets rho.  Otherwise rho starts
+    from the lift of the solve on B reduced to its branching darts
+    (:func:`nb_perron`).  Either start is certified on B; if floating point
+    cannot resolve its bracket to ``rel_tol``, the shifted power iteration
+    on B goes on from it.
     """
     path_verdict = check_suspended_path_condition(g)
     cycle_verdict = check_cycle_condition(g)
@@ -689,7 +689,7 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
     if cycle_verdict.phi is not None:
         log_phi = cycle_verdict.phi.log()
         start = np.exp(np.maximum(log_phi - log_phi.max(), -700.0))  # stays a positive normal float
-    rho = perron(factored_nb_operator(g), rel_tol=rel_tol, start=start)
+    rho = nb_perron(g, rel_tol=rel_tol, start=start)
     return GrowthVerdict(
         equal=path_verdict.holds,
         lambda_exact=lam,

@@ -56,12 +56,16 @@ class SuspendedPaths:
     """The suspended paths as arrays: ``order`` lists the darts path by
     path, each along the walk; path i occupies ``order[start[i]:start[i] +
     length[i]]``, ends at its one dart with outdeg other than 1, and
-    ``smallest[i]`` is its smallest dart."""
+    ``smallest[i]`` is its smallest dart.  Per dart, ``anchor[e]`` is the
+    last dart of e's path, the first with outdeg other than 1 reached along
+    single successors, and ``dist[e]`` the number of steps from e to it."""
 
     order: np.ndarray
     start: np.ndarray
     length: np.ndarray
     smallest: np.ndarray
+    anchor: np.ndarray
+    dist: np.ndarray
 
 
 class Graph:
@@ -170,7 +174,11 @@ class Graph:
         order = np.argsort(ancestor * d + position)
         start = np.flatnonzero(position[order] == 0)
         length = np.diff(np.append(start, d))
-        paths = SuspendedPaths(order, start, length, np.minimum.reduceat(order, start))
+        last = np.repeat(start + length - 1, length)  # each place's path end, in path order
+        anchor, dist = np.empty_like(order), np.empty_like(order)
+        anchor[order] = order[last]
+        dist[order] = last - np.arange(d)
+        paths = SuspendedPaths(order, start, length, np.minimum.reduceat(order, start), anchor, dist)
         for array in vars(paths).values():
             array.flags.writeable = False
         return paths

@@ -13,13 +13,14 @@ variant with ``beta(e) = outdeg(e)**t``.
 ``B`` factors through the vertices, ``B = T S - J`` (head incidence times
 out-incidence, minus the reversal): the matrices are built from that
 product, and :class:`FactoredNbOperator` applies it in O(darts) time and
-memory without forming the transition arcs.
+memory without forming the transition arcs.  :func:`nb_perron` certifies
+rho on ``B`` from a start solved on ``B`` reduced to its branching darts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,6 +50,9 @@ class PowerIterationError(RuntimeError):
 # iterations without a new narrowest bracket after which perron gives up
 _STALL_ITERATIONS = 1000
 
+# steps of the reduced solve after which nb_perron lifts it as it stands
+_QUOTIENT_STEPS = 500
+
 
 @dataclass(frozen=True)
 class NbOperator:
@@ -62,39 +66,52 @@ class NbOperator:
         return self.matrix.shape[0]
 
 
+def _sums_except(tail: np.ndarray, x: np.ndarray, vertex_count: int, at: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """``y[i]``, the sum of x over the darts leaving vertex ``at[i]`` except
+    dart ``skip[i]``, which leaves ``at[i]``: ``outsum[at[i]] - x[skip[i]]``
+    with ``outsum[v]`` the sum of x over the darts leaving v.
+
+    Where ``x[skip[i]]`` outweighs the difference (over half of ``outsum``,
+    so at most one i per vertex) the subtraction would cancel, so there the
+    other darts are summed directly; every entry keeps full relative
+    accuracy.
+    """
+    sub = x[skip]
+    y = np.bincount(tail, x, vertex_count)[at] - sub
+    hit = y < sub
+    if hit.any():
+        rest = x.copy()
+        rest[skip[hit]] = 0.0
+        y[hit] = np.bincount(tail, rest, vertex_count)[at[hit]]
+    return y
+
+
 @dataclass(frozen=True)
 class FactoredNbOperator:
     """The adjacency operator ``B`` applied through the vertices in O(darts).
 
-    ``(Bx)(e) = z[plus[e]] - z[minus[e]]`` over ``z = (outsum, x, 0)``, with
-    ``outsum[v]`` the sum of x over the darts leaving v: at a head of degree
-    two, ``plus`` picks x of e's only successor and ``minus`` the 0, so the
-    value is exact; elsewhere they pick ``outsum[head e]`` and ``x[rev e]``.
-    Where ``x[rev e]`` outweighs the difference (at most one dart per
-    vertex) the subtraction would cancel, so there the other out-darts are
-    summed directly; every entry keeps full relative accuracy.
+    Where head(e) has degree two (``chain``), ``(Bx)(e)`` is x of e's only
+    successor (``successor``); at every other dart (``branching``, with
+    heads ``head`` and reverses ``reverse``) it is the sum of x over the
+    darts leaving head(e) except rev(e), from :func:`_sums_except`.
     """
 
     tail: np.ndarray
+    vertex_count: int
+    chain: np.ndarray
+    successor: np.ndarray
+    branching: np.ndarray
     head: np.ndarray
     reverse: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-    vertex_count: int
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.tail), len(self.tail))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        z = np.concatenate((np.bincount(self.tail, x, self.vertex_count), x, [0.0]))
-        sub = z[self.minus]
-        y = z[self.plus] - sub
-        hit = y < sub
-        if hit.any():
-            rest = x.copy()
-            rest[self.reverse[hit]] = 0.0
-            y[hit] = np.bincount(self.tail, rest, self.vertex_count)[self.head[hit]]
+        y = np.empty_like(x)
+        y[self.chain] = x[self.successor]
+        y[self.branching] = _sums_except(self.tail, x, self.vertex_count, self.head, self.reverse)
         return y
 
 
@@ -128,13 +145,12 @@ def factored_nb_operator(g: Graph) -> FactoredNbOperator:
     """The adjacency operator of :func:`build_nb_matrix` in O(darts) memory."""
     if g.vertex_count == 0 or int(g.degrees.min()) < 2:
         raise PreconditionError("adjacency operator requires minimum degree >= 2")
-    head, rev = g.dart_head, g.dart_reverse
     successor = g.chain_successor
-    chain = successor >= 0
-    v, d = g.vertex_count, g.dart_count
-    plus = np.where(chain, v + successor, head)
-    minus = np.where(chain, v + d, v + rev)
-    return FactoredNbOperator(g.dart_tail, head, rev, plus, minus, v)
+    chain, branching = np.flatnonzero(successor >= 0), np.flatnonzero(successor < 0)
+    return FactoredNbOperator(
+        g.dart_tail, g.vertex_count, chain, successor[chain],
+        branching, g.dart_head[branching], g.dart_reverse[branching],
+    )
 
 
 def build_transition_matrix(g: Graph) -> NbOperator:
@@ -174,13 +190,16 @@ def stationary_distribution(g: Graph) -> np.ndarray:
 @dataclass(frozen=True)
 class PerronResult:
     """Perron value with its Collatz-Wielandt bracket ``low <= value <= high``,
-    ``high - low <= rel_tol * low``; each iteration is one matvec."""
+    ``high - low <= rel_tol * low``, after ``iterations`` power steps on the
+    operator; ``matvecs`` counts those and every application of a reduced
+    operator that chose the start (:func:`nb_perron`)."""
 
     value: float
     iterations: int
     rel_tol: float
     low: float
     high: float
+    matvecs: int
 
 
 def _as_matrix(op):
@@ -240,7 +259,7 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
         low = float(ratios.min())
         high = float(ratios.max())
         if high - low <= rel_tol * low:
-            return PerronResult((low + high) / 2.0, iteration, rel_tol, low, high)
+            return PerronResult((low + high) / 2.0, iteration, rel_tol, low, high, iteration)
         if high - low < narrowest:
             narrowest, narrowed_at = high - low, iteration
         elif iteration - narrowed_at >= _STALL_ITERATIONS:
@@ -251,7 +270,7 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
                 iterations=iteration,
             )
         w += v
-        v = w / np.linalg.norm(w)
+        v = w / w.max()  # not np.linalg.norm: its BLAS dot starts threads on long vectors
     raise PowerIterationError(
         f"no convergence to rel_tol={rel_tol} within {max_iter} iterations",
         last_estimate=(low + high) / 2.0,
@@ -263,14 +282,88 @@ def perron_value(op, rel_tol: float = 1e-12, max_iter: int | None = None) -> flo
     return perron(op, rel_tol=rel_tol, max_iter=max_iter).value
 
 
+def _path_quotient_start(g: Graph, rel_tol: float) -> tuple[np.ndarray, int]:
+    """A start vector for :func:`perron` on B, solved on B reduced to its
+    branching darts (outdeg > 1), and the number of reduced applications.
+
+    Along a suspended path a Perron pair ``B v = z v`` is geometric:
+    ``v_e = z**-L(e) * v_A(e)``, with A and L the ``anchor`` and ``dist`` of
+    ``Graph.suspended_paths``.  On the branching darts b that leaves
+    ``x = M(z) x``, where ``(M(z) x)_b`` sums ``z**-(L(f) + 1) * x_A(f)``
+    over the continuations f of b (Bass's reduction of the Ihara
+    determinant), so rho is the z with ``r(M(z)) = 1``.
+
+    The continuations of b_i are the darts leaving head(b_i) except
+    f_i = rev(b_i), so one index i names both, and :func:`_sums_except`
+    applies M(z) in O(branching darts).  The terms ``w_i`` of the f_i form
+    the left Perron vector of M(z) when x is the right one.  So each step
+    is one power step on x, shifted by ``I / z`` (perron's own ``+I`` when
+    no vertex has degree two and ``M(z) = B / z``), and one Newton step on
+    ``log r = 0`` in log z, with r and its slope from w.
+
+    The lift ``z**-L(e) * x_A(e)`` has the ratio ``(Bv) / v = z`` on every
+    path dart and ``z (M(z) x)_b / x_b`` on the branching ones, so every
+    step brackets rho in ``[z min(1, m), z max(1, M)]``, with m and M the
+    least and greatest of ``(M(z) x) / x``.  A Newton step that leaves the
+    intersection of these brackets is replaced by its midpoint; r decreases
+    in z, so the brackets close on rho.
+    """
+    paths = g.suspended_paths
+    darts = np.flatnonzero(g.chain_successor < 0)
+    index = np.empty(g.dart_count, dtype=np.int64)
+    index[darts] = skip = np.arange(len(darts))
+    starts = g.dart_reverse[darts]
+    vertices, vertex = np.unique(g.dart_head[darts], return_inverse=True)
+    steps = paths.dist[starts] + 1.0
+    anchor = index[paths.anchor[starts]]
+
+    x = np.ones(len(darts))
+    # lambda = exp(mean log outdeg) <= rho; path darts add log 1 = 0
+    z = float(np.exp(np.log(g.degrees[g.dart_head[darts]] - 1.0).sum() / g.dart_count))
+    lo, hi = 0.0, math.inf
+    for step in range(1, _QUOTIENT_STEPS + 1):
+        w = x[anchor] * z**-steps
+        y = _sums_except(vertex, w, len(vertices), vertex, skip)
+        ratios = y / x
+        low, high = z * min(1.0, float(ratios.min())), z * max(1.0, float(ratios.max()))
+        if high - low <= rel_tol * low / 2:
+            break
+        lo, hi = max(lo, low), min(hi, high)
+        # sums, not BLAS dot products: those start threads for long vectors
+        wy = w * y
+        newton = z * (wy.sum() / (w * x).sum()) ** (wy.sum() / (steps * wy).sum())
+        z = newton if lo < newton < hi else (lo + hi) / 2
+        x = x / z + y
+        x /= x.max()
+    start = z**-paths.dist * x[index[paths.anchor]]
+    # perron needs a positive start; it repairs any entry that underflowed
+    return np.maximum(start, np.finfo(np.float64).tiny), step
+
+
+def nb_perron(g: Graph, rel_tol: float = 1e-12, start=None) -> PerronResult:
+    """Perron value rho of the dart adjacency operator B, certified on B.
+
+    :func:`perron` on :func:`factored_nb_operator` from ``start``, by
+    default the lift of the reduced solve (:func:`_path_quotient_start`),
+    whose applications count in ``matvecs``.  The bracket is always B's, so
+    a poor start costs matvecs, never correctness.  Requires an
+    NB-irreducible graph.
+    """
+    require_nb_irreducible(g)
+    reduced = 0
+    if start is None:
+        start, reduced = _path_quotient_start(g, rel_tol)
+    result = perron(factored_nb_operator(g), rel_tol=rel_tol, start=start)
+    return replace(result, matvecs=result.matvecs + reduced)
+
+
 def cover_growth_rate(g: Graph, rel_tol: float = 1e-12) -> float:
     """Exponential growth rate of the universal covering tree.
 
-    Equals the Perron eigenvalue of the dart adjacency operator; requires
-    an NB-irreducible graph.
+    Equals the Perron eigenvalue of the dart adjacency operator
+    (:func:`nb_perron`); requires an NB-irreducible graph.
     """
-    require_nb_irreducible(g)
-    return perron_value(factored_nb_operator(g), rel_tol=rel_tol)
+    return nb_perron(g, rel_tol=rel_tol).value
 
 
 def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:

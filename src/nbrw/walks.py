@@ -58,7 +58,7 @@ def sample_walk(g: Graph, length: int, seed: int, stream: int = 0) -> WalkSample
     if length < 0:
         raise ValueError("length must be non-negative")
     out_flat, dart_table, _, _ = _walk_tables(g)
-    out_flat, (first, skip, outdeg, _, _) = out_flat.tolist(), dart_table.tolist()
+    out_flat, (first, skip, outdeg, _, _) = memoryview(out_flat), map(memoryview, dart_table)
     key = _rng.stream_key(seed, stream)
     e = _rng.draw(key, 0) % g.dart_count
     darts = [e]
@@ -154,31 +154,29 @@ def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[in
     """``out_flat``, the darts grouped by tail; ``dart_table``, rows ``first``,
     ``skip``, ``outdeg``, ``anchor`` and ``dist`` with one column per dart;
     each dart's index into the tracked degrees (-1 for outdeg 1); and the
-    tracked degrees.
+    tracked degrees.  Built once per (immutable) graph, so read-only.
 
     The successors of e are the darts leaving head(e), at ``first[e]``
     onwards in ``out_flat``, minus reverse(e), at ``skip[e]``; so e's j-th
     successor (ascending, j < outdeg(e)) is ``out_flat[k + (k >= skip[e])]``
-    with ``k = first[e] + j``.  ``anchor[e]`` is the last dart of e's
-    suspended path, the first one with outdeg > 1, and ``dist[e]`` the
-    number of steps from e to it: a walk on e reaches ``anchor[e]``
-    ``dist[e]`` steps later without a draw.
+    with ``k = first[e] + j``.  ``anchor`` and ``dist`` are the rows of
+    ``Graph.suspended_paths``: a walk on e reaches ``anchor[e]`` ``dist[e]``
+    steps later without a draw.
     """
-    offsets, out_flat = g.out_dart_table
-    position = np.empty(g.dart_count, dtype=np.int64)
-    position[out_flat] = np.arange(g.dart_count)
-    outdeg = g.out_degree_vector()
-    paths = g.suspended_paths
-    last = np.repeat(paths.start + paths.length - 1, paths.length)  # each place's path end, in path order
-    anchor, dist = np.empty_like(position), np.empty_like(position)
-    anchor[paths.order] = paths.order[last]
-    dist[paths.order] = last - np.arange(g.dart_count)
-    dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg, anchor, dist))
-    degrees = tracked_degrees(g)
-    value_index = np.full(g.dart_count, -1, dtype=np.int32)
-    for i, d in enumerate(degrees):
-        value_index[outdeg == d] = i
-    return out_flat, dart_table, value_index, degrees
+    if not hasattr(g, "_walk_table_cache"):
+        offsets, out_flat = g.out_dart_table
+        position = np.empty(g.dart_count, dtype=np.int64)
+        position[out_flat] = np.arange(g.dart_count)
+        outdeg = g.out_degree_vector()
+        paths = g.suspended_paths
+        dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg, paths.anchor, paths.dist))
+        degrees = tracked_degrees(g)
+        value_index = np.full(g.dart_count, -1, dtype=np.int32)
+        for i, d in enumerate(degrees):
+            value_index[outdeg == d] = i
+        dart_table.flags.writeable = value_index.flags.writeable = False
+        g._walk_table_cache = out_flat, dart_table, value_index, degrees
+    return g._walk_table_cache
 
 
 def run_walks(

@@ -21,3 +21,20 @@ def k4():
 @pytest.fixture
 def w523():
     return wheel_graph(5, 2, 3)
+
+
+@pytest.fixture
+def applications(monkeypatch):
+    """One entry per application of B or of its reduction to the branching
+    darts: each calls ``operators._sums_except`` once."""
+    from nbrw import operators
+
+    calls = []
+    inner = operators._sums_except
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(operators, "_sums_except", counted)
+    return calls

@@ -310,7 +310,7 @@ def test_analyze_unresolved_rho_exit_2(k4e_file, capsys, monkeypatch):
     "family, tol, equal",
     [(["k4e"], 1e-12, False), (["wheel", "--n", "5", "--l1", "2", "--l2", "3"], 1e-14, True)],
 )
-def test_analyze_reports_rho_bracket(tmp_path, capsys, family, tol, equal):
+def test_analyze_reports_rho_bracket(tmp_path, capsys, applications, family, tol, equal):
     path = tmp_path / "g.txt"
     run_cli(capsys, "gen", *family, "-o", str(path))
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json", "--tol", str(tol))
@@ -318,12 +318,40 @@ def test_analyze_reports_rho_bracket(tmp_path, capsys, family, tol, equal):
     rho = json.loads(out)["rho"]
     assert rho["low"] <= rho["value"] <= rho["high"]
     assert rho["high"] - rho["low"] <= tol * rho["low"]
-    assert rho["matvecs"] == rho["iterations"]
+    # matvecs counts the power steps on B and the applications of B reduced
+    # to the branching darts that chose the start
+    assert rho["matvecs"] == len(applications)
     if equal:
         # the potential is a Perron vector: one matvec certifies rho = lambda
-        assert rho["matvecs"] == 1
+        assert rho["matvecs"] == rho["iterations"] == 1
+    else:
+        assert rho["matvecs"] > rho["iterations"] >= 1
     code, out, _ = run_cli(capsys, "analyze", str(path), "--tol", str(tol))
     assert f"bracket [{rho['low']:.15g}, {rho['high']:.15g}]" in out
+
+
+# the witnesses of wheel_graph(1025, 2, 12), as the plain power iteration on B reported them
+W1025_PATH = [0, 2]
+W1025_CYCLE = [0, 2, *range(4147, 4124, -2), *range(4100, 4123, 2), 4099, 4097,
+               *range(28699, 28676, -2), *range(4100, 4123, 2)]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+def test_analyze_strict_wheel_certifies_rho_from_the_quotient(tmp_path, capsys, applications, tol):
+    # 28,700 darts on suspended paths of up to 12: the plain power iteration
+    # takes 2,646 matvecs at 1e-12 and cannot resolve 1e-14
+    path = tmp_path / "w.txt"
+    run_cli(capsys, "gen", "wheel", "--n", "1025", "--l1", "2", "--l2", "12", "-o", str(path))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json", "--tol", str(tol))
+    assert code == 1
+    report = json.loads(out)
+    rho = report["rho"]
+    assert rho["matvecs"] == len(applications) < 100
+    assert rho["low"] <= rho["value"] <= rho["high"]
+    assert rho["high"] - rho["low"] <= tol * rho["low"]
+    assert report["verdict"] == "strict"
+    assert report["suspended_path_condition"]["witness"] == {"type": "path", "darts": W1025_PATH}
+    assert report["cycle_condition"]["witness"] == {"type": "cycle", "darts": W1025_CYCLE}
 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])

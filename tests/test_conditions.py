@@ -206,8 +206,9 @@ def test_requires_irreducibility():
             fn(c5)
 
 
-def test_verdict_json_shapes(k4e, k4):
+def test_verdict_json_shapes(k4e, k4, applications):
     strict = growth_verdict(k4e).to_json()
+    strict_applications = len(applications)
     assert strict["verdict"] == "strict"
     assert strict["suspended_path_condition"]["witness"]["type"] == "path"
     assert strict["cycle_condition"]["witness"]["type"] == "cycle"
@@ -220,7 +221,12 @@ def test_verdict_json_shapes(k4e, k4):
         rho = report["rho"]
         assert list(rho) == ["value", "rel_tol", "iterations", "low", "high", "matvecs"]
         assert rho["low"] <= rho["value"] <= rho["high"]
-        assert rho["rel_tol"] == 1e-12 and rho["matvecs"] == rho["iterations"] >= 1
+        assert rho["rel_tol"] == 1e-12
+    # matvecs: the power steps on B plus the applications of B reduced to the
+    # branching darts that chose the start; the potential needs neither
+    assert strict["rho"]["matvecs"] == strict_applications > strict["rho"]["iterations"] >= 1
+    assert equal["rho"]["matvecs"] == equal["rho"]["iterations"] == 1
+    assert len(applications) == strict_applications + 1
 
 
 # --- improving cycle ----------------------------------------------------------

@@ -12,6 +12,7 @@ from nbrw import (
     build_transition_matrix,
     build_weighted_matrix,
     complete_bipartite_graph,
+    complete_graph,
     count_nb_walks,
     cover_growth_rate,
     enumerate_nb_walks,
@@ -20,13 +21,15 @@ from nbrw import (
     equal_growth_wheel,
     factored_nb_operator,
     interpolation_matrix,
+    nb_perron,
+    operators,
     perron,
     perron_value,
     stationary_distribution,
     wheel_graph,
 )
 
-from _corpus import random_nb_irreducible, random_regular
+from _corpus import graphs_with_loops, random_nb_irreducible, random_regular
 
 
 def test_b_matrix_k4e(k4e):
@@ -275,3 +278,43 @@ def test_perron_gives_up_when_the_bracket_stops_narrowing():
     assert err.value.iterations < 5000
     assert "stopped narrowing" in str(err.value)
     assert abs(err.value.last_estimate - perron_value(build_nb_matrix(g))) <= 1e-11
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_quotient_start_certifies_on_b_on_corpus(monkeypatch, applications, cap):
+    """The start lifted from B reduced to the branching darts gives a B
+    bracket that overlaps the constant start's; cut to one reduced step,
+    perron on B still certifies from it."""
+    if cap is not None:
+        monkeypatch.setattr(operators, "_QUOTIENT_STEPS", cap)
+    rng = random.Random(2323)
+    graphs = [random_nb_irreducible(rng, half_loop_prob=0.3) for _ in range(60)]
+    graphs += graphs_with_loops(rng)
+    # no degree-2 vertex, so the reduction is B itself; and a periodic B
+    graphs += [complete_graph(4), complete_bipartite_graph(3, 3), wheel_graph(4, 2, 4)]
+    for g in graphs:
+        plain = perron(factored_nb_operator(g))
+        del applications[:]
+        seeded = nb_perron(g)
+        assert seeded.matvecs == len(applications)
+        if cap is not None:
+            assert seeded.matvecs == seeded.iterations + cap
+        for result in (seeded, plain):
+            assert result.low <= result.value <= result.high
+            assert result.high - result.low <= 1e-12 * result.low
+        # each bracket is evaluated in floating point, so two of them can
+        # miss by a rounding: on K4 the constant start 1/12 gives 2 + 1 ulp
+        assert max(seeded.low, plain.low) <= min(seeded.high, plain.high) * (1 + 4e-16), g
+
+
+def test_quotient_solve_takes_newton_steps_on_uneven_paths(applications):
+    # K4 with a 200-edge path from vertex 0 to vertex 1: the z update needs
+    # the slope of log r in log z, which no fixed exponent such as one over
+    # the mean path length stands in for (that one takes 809 reduced steps)
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    edges += [(0, 4)] + [(v, v + 1) for v in range(4, 202)] + [(202, 1)]
+    g = build_graph(203, edges)
+    result = nb_perron(g)
+    assert result.matvecs == len(applications) < 100
+    plain = perron(factored_nb_operator(g))
+    assert max(result.low, plain.low) <= min(result.high, plain.high) * (1 + 4e-16)

@@ -86,6 +86,22 @@ def test_sample_walk_rejects_cycle():
         sample_walk(c5, 3, seed=0)
 
 
+def test_walk_tables_are_built_once_per_graph(monkeypatch):
+    g = equal_growth_wheel(6)
+    first = sample_walk(g, 50, seed=3, stream=2)
+    tables = walks._walk_tables(g)
+    assert not tables[1].flags.writeable and not tables[2].flags.writeable
+
+    def rebuilt(_):
+        raise AssertionError("the walk tables were built again")
+
+    # building the tables reads the tracked degrees; reading them does not
+    monkeypatch.setattr(walks, "tracked_degrees", rebuilt)
+    assert sample_walk(g, 50, seed=3, stream=2) == first
+    assert run_walks(g, 50, 3, seed=3).end_darts[2] == first.darts[-1]
+    assert walks._walk_tables(g) is tables
+
+
 def test_run_walks_deterministic_across_workers(k4e):
     a = run_walks(k4e, 64, 3000, seed=42, workers=1)
     b = run_walks(k4e, 64, 3000, seed=42, workers=5)

@@ -244,20 +244,21 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
 def _is_connected(g: Graph) -> bool:
     if g.vertex_count > len(g.edges) + 1:  # a spanning tree needs V - 1 edges
         return False
-    parent = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, _ in g.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    root = find(0)
-    return all(find(v) == root for v in range(g.vertex_count))
+    # min-label hooking: every root takes the smallest root across its darts,
+    # then pointer jumping sends every vertex to its root; labels only fall,
+    # so each root ends as the smallest vertex of its component
+    label = np.arange(g.vertex_count)
+    while True:
+        tail, head = label[g.dart_tail], label[g.dart_head]
+        cross = tail != head
+        if not cross.any():
+            return not label.any()
+        np.minimum.at(label, tail[cross], head[cross])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 # --- text format ------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 import nbrw
 from nbrw import check_cycle_condition, parse_graph_text
 from nbrw.cli import main
+from nbrw.variance import _DENSE_UNKNOWNS
 
 
 def run_cli(capsys, *argv):
@@ -385,17 +386,23 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=
         (["analyze", "{w523}", "--json", "--with-variance"], 0, False),  # the variance is exactly 0
         (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, False),
         (["pdf", "{k4e}", "--len", "5"], 0, False),
-        (["asymvar", "{k4e}"], 0, True),
-        (["analyze", "{k4e}", "--with-variance"], 1, True),
+        (["asymvar", "{k4e}"], 0, False),
+        (["analyze", "{k4e}", "--with-variance"], 1, False),
+        # one more branching vertex than the dense solve takes
+        (["asymvar", "{wide}"], 0, True),
     ],
-    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "analyze-variance-strict"],
+    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "analyze-variance-strict",
+         "asymvar-above-dense-cutoff"],
 )
 def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, expected_code, sparse_solve):
-    w523 = tmp_path / "w523.txt"
+    w523, wide = tmp_path / "w523.txt", tmp_path / "wide.txt"
     run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "2", "--l2", "3", "-o", str(w523))
+    if "{wide}" in argv:
+        spokes = str(_DENSE_UNKNOWNS)  # the hub and every spoke's end branch
+        run_cli(capsys, "gen", "wheel", "--n", spokes, "--l1", "1", "--l2", "2", "-o", str(wide))
     src = str(Path(nbrw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = [a.format(k4e=k4e_file, w523=w523) for a in argv]
+    args = [a.format(k4e=k4e_file, w523=w523, wide=wide) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
     )

@@ -13,10 +13,10 @@ from nbrw import (
     is_nb_irreducible,
     parse_graph_text,
 )
-from nbrw.graph import HALF_LOOP, WHOLE_LOOP
+from nbrw.graph import HALF_LOOP, WHOLE_LOOP, _is_connected
 from nbrw.walks import _walk_tables
 
-from _corpus import random_nb_irreducible
+from _corpus import pairing_graph, random_nb_irreducible
 
 
 def test_k4_minus_edge_construction(k4e):
@@ -176,6 +176,47 @@ def test_is_nb_irreducible_cases(k4e):
         assert g.irreducibility is is_nb_irreducible(g)
 
 
+def _connected_by_search(g):
+    """Plain depth-first search from vertex 0 over the edge list."""
+    neighbours = [[] for _ in range(g.vertex_count)]
+    for a, b, _ in g.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen, stack = ({0}, [0]) if g.vertex_count else (set(), [])
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.vertex_count
+
+
+def test_is_connected_matches_search():
+    rng = random.Random(5151)
+    graphs = [random_nb_irreducible(rng, half_loop_prob=0.5) for _ in range(100)]
+    # random degree sequences with degree-0 and degree-1 vertices: often split
+    graphs += [pairing_graph(rng, [rng.randint(0, 3) for _ in range(rng.randint(1, 12))], 0.3) for _ in range(200)]
+    # long cycles and paths under a random vertex order
+    for _ in range(40):
+        n = rng.randint(2, 400)
+        order = rng.sample(range(n), n)
+        edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
+        if rng.random() < 0.5:
+            del edges[rng.randrange(n)]
+        graphs.append(build_graph(n, rng.sample(edges, len(edges))))
+    graphs += [
+        build_graph(0, []),
+        build_graph(1, []),
+        build_graph(2, []),
+        build_graph(1, [(0, 0, WHOLE_LOOP), (0, 0, HALF_LOOP)]),
+        build_graph(2, [(0, 0, WHOLE_LOOP), (1, 1, HALF_LOOP)]),
+        build_graph(3, [(0, 0, WHOLE_LOOP), (1, 1, WHOLE_LOOP), (2, 2, HALF_LOOP)]),
+    ]
+    verdicts = [_is_connected(g) for g in graphs]
+    assert verdicts == [_connected_by_search(g) for g in graphs]
+    assert 50 <= sum(verdicts) <= len(graphs) - 50
+
+
 def test_text_format_round_trip(k4e):
     text = format_graph_text(k4e, comment="round trip")
     g = parse_graph_text(text)
@@ -229,7 +270,7 @@ def test_parse_rejects_vertex_count_outside_bound_at_header(header):
 
 
 def test_large_header_irreducibility_allocates_nothing_per_vertex():
-    # fewer than V - 1 edges cannot connect V vertices; no union-find is built
+    # fewer than V - 1 edges cannot connect V vertices; no vertex labels are built
     g = parse_graph_text("nbgraph 1000000\ne 0 1\ne 1 2\ne 2 0\n")
     tracemalloc.start()
     try:

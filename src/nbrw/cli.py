@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .conditions import growth_verdict
+from .conditions import GrowthVerdict, growth_verdict
 from .families import (
     complete_bipartite_graph,
     complete_graph,
@@ -116,16 +116,19 @@ def cmd_analyze(args) -> int:
         return EXIT_INVALID
 
     result = growth_verdict(g, rel_tol=args.tol)
-    report.update(result.to_json())
+    variance = None
     if args.with_variance:
         # equal rates: the cycle criterion's potential makes f a coboundary,
         # so the bit total telescopes and its variance is exactly 0
-        report["asymptotic_variance"] = 0.0 if result.equal else asymptotic_variance(g)
+        variance = 0.0 if result.equal else asymptotic_variance(g)
 
     if args.json:
+        report.update(result.to_json())
+        if variance is not None:
+            report["asymptotic_variance"] = variance
         print(json.dumps(report))
     else:
-        _print_analysis(report)
+        _print_analysis(report, result, variance)
     return EXIT_EQUAL if result.equal else EXIT_STRICT
 
 
@@ -143,27 +146,25 @@ def _format_exact(pairs: list) -> str:
     return " * ".join(f"{p}^({num}/{den})" if den != 1 else f"{p}^{num}" for p, num, den in pairs)
 
 
-def _print_analysis(report: dict) -> None:
+def _print_analysis(report: dict, result: GrowthVerdict, variance: float | None) -> None:
     _print_graph_summary(report)
-    lam = report["lambda"]
-    rho = report["rho"]
-    print(f"lambda: {lam['float']:.12f} = {_format_exact(lam['exact'])}")
-    print(f"rho:    {rho['value']:.12f} (rel_tol {rho['rel_tol']:g}, {rho['iterations']} iterations)")
-    print(f"        bracket [{rho['low']:.15g}, {rho['high']:.15g}]")
-    print(f"gap:    {report['gap']:.12g}")
-    for name, key in (
-        ("suspended path condition", "suspended_path_condition"),
-        ("cycle condition", "cycle_condition"),
+    rho = result.perron
+    print(f"lambda: {result.lambda_float:.12f} = {_format_exact(result.lambda_exact.as_pairs())}")
+    print(f"rho:    {rho.value:.12f} (rel_tol {rho.rel_tol:g}, {rho.iterations} iterations)")
+    print(f"        bracket [{rho.low:.15g}, {rho.high:.15g}]")
+    print(f"gap:    {result.gap:.12g}")
+    for name, verdict in (
+        ("suspended path condition", result.path_condition),
+        ("cycle condition", result.cycle_condition),
     ):
-        verdict = report[key]
-        status = "holds" if verdict["holds"] else "violated"
-        print(f"{name}: {status}")
-        witness = verdict.get("witness")
-        if witness and witness["type"] in ("path", "cycle"):
-            print(f"  witness {witness['type']} darts: {witness['darts']}")
-    if "asymptotic_variance" in report:
-        print(f"asymptotic_variance: {report['asymptotic_variance']:.12g}")
-    print(f"verdict: {report['verdict']}")
+        print(f"{name}: {'holds' if verdict.holds else 'violated'}")
+        if verdict.witness_path is not None:
+            print(f"  witness path darts: {list(verdict.witness_path.darts)}")
+        elif verdict.witness_cycle is not None:
+            print(f"  witness cycle darts: {list(verdict.witness_cycle)}")
+    if variance is not None:
+        print(f"asymptotic_variance: {variance:.12g}")
+    print(f"verdict: {result.status}")
 
 
 def cmd_gen(args) -> int:
@@ -297,8 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # invalid graphs, unmet preconditions and CapabilityError are ValueErrors
-    except (FileNotFoundError, PowerIterationError, ValueError) as exc:
+    # invalid graphs, unmet preconditions and CapabilityError are ValueErrors;
+    # an unreadable input or unwritable output is an OSError
+    except (OSError, PowerIterationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:

@@ -146,10 +146,19 @@ class _Potential:
     rows: np.ndarray
 
     def as_pairs(self) -> dict[str, list[list[int]]]:
-        """``{dart: [[prime, num, den], ...]}``, exponents in lowest terms."""
-        common = np.gcd(self.rows, self.scale)
-        nums, dens = (self.rows // common).tolist(), (self.scale // common).tolist()
+        """``{dart: [[prime, num, den], ...]}``, exponents in lowest terms.
+
+        A potential repeats few values (it is constant on the darts leaving
+        each vertex of degree >= 3), so darts with equal rows share one
+        pair list."""
+        rows, index = self.rows, None
+        if rows.dtype != object:  # np.unique takes no object rows along an axis
+            rows, index = np.unique(rows, axis=0, return_inverse=True)
+        common = np.gcd(rows, self.scale)
+        nums, dens = (rows // common).tolist(), (self.scale // common).tolist()
         pairs = [[[p, n, m] for p, n, m in zip(self.primes, num, den) if n] for num, den in zip(nums, dens)]
+        if index is not None:
+            pairs = [pairs[i] for i in index.reshape(-1).tolist()]  # 1-D on every numpy version
         return dict(zip(map(str, range(len(pairs))), pairs))
 
     def log(self) -> np.ndarray:

@@ -76,9 +76,12 @@ def test_analyze_strict_exit_1(k4e_file, capsys):
     assert "2^(3/5)" in out
 
 
-def test_analyze_equal_exit_0(tmp_path, capsys):
+def test_analyze_equal_exit_0(tmp_path, capsys, monkeypatch):
+    from nbrw import conditions
+
     path = tmp_path / "h3.txt"
     run_cli(capsys, "gen", "hk", "--k", "3", "-o", str(path))
+    monkeypatch.setattr(conditions._Potential, "as_pairs", None)  # text output prints no potential
     code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     assert "verdict: equal" in out
@@ -112,6 +115,21 @@ def test_analyze_huge_header_exit_2(tmp_path, capsys):
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/graph.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["walk", "{k4e}", "--len", "5", "--samples", "10", "--csv", "{dir}"],
+        ["gen", "k4e", "-o", "{dir}"],
+    ],
+    ids=["input", "walk-csv", "gen-output"],
+)
+def test_directory_as_file_exit_2(k4e_file, tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *[a.format(dir=tmp_path, k4e=k4e_file) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
 
 
 def test_analyze_json_validates_against_schema(k4e_file, capsys):

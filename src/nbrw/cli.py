@@ -18,18 +18,8 @@ import sys
 import numpy as np
 
 from .conditions import GrowthVerdict, growth_verdict
-from .families import (
-    complete_bipartite_graph,
-    complete_graph,
-    equal_growth_wheel,
-    k4_minus_edge,
-    subdivide,
-    wheel_graph,
-)
 from .graph import Graph, IrreducibilityVerdict, format_graph_text, load_graph, parse_graph_text
 from .operators import PowerIterationError
-from .variance import asymptotic_variance, variance_report
-from .walks import distribution_csv, exact_bit_distribution, histogram_csv, run_walks
 
 EXIT_EQUAL = 0
 EXIT_STRICT = 1
@@ -118,6 +108,8 @@ def cmd_analyze(args) -> int:
     result = growth_verdict(g, rel_tol=args.tol)
     variance = None
     if args.with_variance:
+        from .variance import asymptotic_variance
+
         # equal rates: the cycle criterion's potential makes f a coboundary,
         # so the bit total telescopes and its variance is exactly 0
         variance = 0.0 if result.equal else asymptotic_variance(g)
@@ -168,25 +160,27 @@ def _print_analysis(report: dict, result: GrowthVerdict, variance: float | None)
 
 
 def cmd_gen(args) -> int:
+    from . import families
+
     try:
         if args.family == "wheel":
-            g = wheel_graph(args.n, args.l1, args.l2)
+            g = families.wheel_graph(args.n, args.l1, args.l2)
             comment = f"wheel n={args.n} l1={args.l1} l2={args.l2}"
         elif args.family == "hk":
-            g = equal_growth_wheel(args.k)
+            g = families.equal_growth_wheel(args.k)
             comment = f"hk k={args.k}"
         elif args.family == "subdivide":
             base = _load_graph_arg(args.input)
-            g = subdivide(base, args.m)
+            g = families.subdivide(base, args.m)
             comment = f"subdivision m={args.m}"
         elif args.family == "k4e":
-            g = k4_minus_edge()
+            g = families.k4_minus_edge()
             comment = "K4 minus an edge"
         elif args.family == "complete":
-            g = complete_graph(args.n)
+            g = families.complete_graph(args.n)
             comment = f"complete n={args.n}"
         elif args.family == "bipartite":
-            g = complete_bipartite_graph(args.a, args.b)
+            g = families.complete_bipartite_graph(args.a, args.b)
             comment = f"complete bipartite a={args.a} b={args.b}"
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown family {args.family}")
@@ -198,6 +192,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    from .walks import histogram_csv, run_walks
+
     workers = _effective_workers(args.workers)
     g = _load_graph_arg(args.input)
     batch = run_walks(g, args.length, args.samples, args.seed, workers=workers)
@@ -218,6 +214,8 @@ def cmd_walk(args) -> int:
 
 
 def cmd_pdf(args) -> int:
+    from .walks import distribution_csv, exact_bit_distribution
+
     g = _load_graph_arg(args.input)
     dist = exact_bit_distribution(g, args.length)
     csv_text = distribution_csv(dist)
@@ -232,6 +230,8 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_asymvar(args) -> int:
+    from .variance import variance_report
+
     g = _load_graph_arg(args.input)
     print(json.dumps(variance_report(g, args.truncate).to_json()))
     return 0

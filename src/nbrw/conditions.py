@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import ExactValue, factorize, geometric_mean
-from .graph import Graph, SuspendedPaths, build_graph
+from .exact import ExactValue, exponent_sign, factorize
+from .graph import Graph, SuspendedPaths, _component_labels
 from .operators import (
     PerronResult,
     PreconditionError,
@@ -397,146 +397,144 @@ def path_growth_function(g: Graph) -> list[ExactValue]:
 
 
 # --- improving-cycle search ---------------------------------------------------
+#
+# f is one integer row per dart (its exponents over ``primes``, scaled by the
+# lcm of their denominators), so a mean of f is a row sum over a dart count.
+
+_MAX_MEAN_CELLS = 2**16  # of Karp's table in the maximum-mean fallback
 
 
-def _induced_subgraph(g: Graph, edge_ids: set[int]) -> tuple[Graph, dict[int, int]]:
-    """Graph restricted to the given edge ids, plus sub-dart -> original-dart map."""
-    used_vertices = sorted({v for i in edge_ids for v in g.edges[i][:2]})
-    vmap = {v: k for k, v in enumerate(used_vertices)}
-    kept = sorted(edge_ids)
-    edges = [(vmap[g.edges[i][0]], vmap[g.edges[i][1]], g.edges[i][2]) for i in kept]
-    sub = build_graph(len(used_vertices), edges)
-    # both dart tables list paired darts by edge, then half-loops by edge,
-    # so the kept edges' darts of g appear in the sub-graph's dart order
-    return sub, dict(enumerate(_darts_of_edges(g, edge_ids)))
+def _dart_rows(g: Graph, f: list[ExactValue]) -> tuple[tuple[int, ...], np.ndarray]:
+    """``(primes, rows)`` of f, once f is checked to hold one ``ExactValue``
+    per dart, constant on suspended paths and reversal-symmetric."""
+    from math import lcm
 
-
-def _prune_to_min_degree_two(g: Graph, edge_ids: set[int]) -> set[int]:
-    """Drop edges at degree-deficient vertices until min degree >= 2."""
-    edges = set(edge_ids)
-    while edges:
-        # a vertex's degree is the number of darts leaving it
-        weak = np.bincount(g.dart_tail[_darts_of_edges(g, edges)], minlength=g.vertex_count) == 1
-        if not weak.any():
-            return edges
-        edges = {i for i in edges if not (weak[g.edges[i][0]] or weak[g.edges[i][1]])}
-    return edges
-
-
-def _edge_components(g: Graph, edge_ids: set[int]) -> list[set[int]]:
-    """The edges grouped by connected component (union-find over vertices),
-    in the order of each component's smallest edge."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
-    for i in edge_ids:
-        parent[find(g.edges[i][0])] = find(g.edges[i][1])
-    components: dict[int, set[int]] = {}
-    for i in sorted(edge_ids):
-        components.setdefault(find(g.edges[i][0]), set()).add(i)
-    return list(components.values())
-
-
-def _darts_of_edges(g: Graph, edge_ids: set[int]) -> list[int]:
-    return np.flatnonzero(np.isin(g.dart_edge, list(edge_ids))).tolist()
-
-
-def _trace_cycle(sub: Graph, dart_map: dict[int, int]) -> list[int]:
-    """Follow unique continuations in an all-degree-two graph, from the
-    smallest original dart, until the start dart repeats."""
-    successor = sub.chain_successor.tolist()
-    start = min(range(sub.dart_count), key=lambda d: dart_map[d])
-    cycle = [start]
-    while True:
-        e = cycle[-1]
-        if successor[e] < 0:
-            raise ConsistencyError("cycle trace found a branching dart")
-        if successor[e] == start:
-            break
-        cycle.append(successor[e])
-        if len(cycle) > sub.dart_count:
-            raise ConsistencyError("cycle trace did not close")
-    return [dart_map[d] for d in cycle]
-
-
-def _validate_path_function(g: Graph, f: list[ExactValue]) -> None:
     if len(f) != g.dart_count:
         raise ValueError("f must assign a value to every dart")
-    for path in suspended_path_decomposition(g):
-        values = {f[d] for d in path.darts} | {f[int(g.dart_reverse[d])] for d in path.darts}
-        if len(values) != 1:
-            raise ValueError("f must be constant on suspended paths and reversal-symmetric")
+    for d, value in enumerate(f):
+        if not isinstance(value, ExactValue):
+            raise ValueError(f"f[{d}] is {value!r}, not an ExactValue")
+    ids = {value: i for i, value in enumerate(dict.fromkeys(f))}
+    which = np.array([ids[value] for value in f], dtype=np.int64)
+    if (which != which[g.suspended_paths.anchor]).any() or (which != which[g.dart_reverse]).any():
+        raise ValueError("f must be constant on suspended paths and reversal-symmetric")
+    exponents = [value.exponents for value in ids]
+    primes = tuple(sorted({p for e in exponents for p in e}))
+    scale = lcm(*(q.denominator for e in exponents for q in e.values()))
+    table = np.array([[int(e.get(p, 0) * scale) for p in primes] for e in exponents], dtype=object)
+    # comparing two means forms sum * count - sum * count, below 2 D**2 max|row|
+    if 2 * g.dart_count**2 * int(np.abs(table).max(initial=0)) < _INT64_BOUND:
+        table = table.astype(np.int64)
+    return primes, table[which]
+
+
+def _best_component(g: Graph, live: np.ndarray, primes: tuple[int, ...], rows: np.ndarray):
+    """Drops from ``live``, in place, the edges at vertices of degree one
+    until there are none, then gives ``(edge mask, row sum, dart count)`` of
+    the component with the largest mean, ties to the smallest dart, or None
+    when no edge is left."""
+    while True:
+        on = live[g.dart_edge]
+        weak = g.dart_edge[on & (np.bincount(g.dart_tail[on], minlength=g.vertex_count) == 1)[g.dart_tail]]
+        if not len(weak):
+            break
+        live[weak] = False
+    darts = np.flatnonzero(live[g.dart_edge])
+    if not len(darts):
+        return None
+    labels = _component_labels(g.vertex_count, g.dart_tail[darts], g.dart_head[darts])
+    _, smallest, component = np.unique(labels[g.dart_tail[darts]], return_index=True, return_inverse=True)
+    sums = np.zeros((len(smallest), len(primes)), dtype=rows.dtype)
+    np.add.at(sums, component, rows[darts])
+    counts = np.bincount(component).tolist()
+    best = 0  # darts ascend, so smallest[c] orders the components by their smallest dart
+    for c in range(1, len(counts)):
+        sign = exponent_sign(primes, (sums[c] * counts[best] - sums[best] * counts[c]).tolist())
+        if sign > 0 or (sign == 0 and smallest[c] < smallest[best]):
+            best = c
+    kept = np.zeros_like(live)
+    kept[g.dart_edge[darts[component == best]]] = True
+    return kept, sums[best], counts[best]
 
 
 def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     """Peel suspended paths until a cycle with above-average f remains.
 
-    ``f`` must be constant on suspended paths and reversal-symmetric (the
-    shape produced by :func:`path_growth_function`).  Repeatedly removes a
-    suspended path whose geometric mean of ``f`` is at most the current
-    subgraph's, keeps the connected component with the largest mean, and
-    stops when only a cycle is left.  The returned non-backtracking cycle
-    C satisfies, exactly,
+    ``f`` must hold one :class:`ExactValue` per dart, constant on suspended
+    paths and reversal-symmetric (the shape produced by
+    :func:`path_growth_function`); anything else raises ``ValueError``.
+    Repeatedly removes a suspended path of the current subgraph (a mask
+    over the edges) whose geometric mean of ``f`` is at most the
+    subgraph's, the first by leading dart after which the mean does not
+    drop; prunes to minimum degree two; keeps the connected component with
+    the largest mean (ties to the smallest dart); and stops when only a
+    cycle is left, returned from its smallest dart.  The returned
+    non-backtracking cycle C satisfies, exactly,
 
         geometric_mean(f over C) >= geometric_mean(f over all darts),
 
     strictly when some suspended path of ``g`` falls strictly below the
     global mean.
 
-    Removing a path whose endpoints coincide takes two incidences from its
-    anchor vertex and can dangle part of the subgraph; the dangling chains
-    are pruned, and a candidate is only accepted if the kept component's
-    mean does not drop.  When no removal order can avoid losing ground
-    this way (above-average darts stranded on a bridge), the guarantee is
-    met by an exact maximum-mean cycle search on the transition digraph
-    instead.
+    When every removal loses ground (above-average darts stranded on a
+    bridge), the guarantee is met by a cycle of maximum mean instead:
+    Karp's dynamic program with its table kept at the first dart of each
+    suspended path, (D + 1) * (number of paths) cells of one integer row
+    over the primes of ``f`` and a back link.  Above 2**16 cells it raises
+    :class:`~nbrw.walks.CapabilityError` (a ``ValueError``) before building
+    the table.
     """
     require_nb_irreducible(g)
-    _validate_path_function(g, f)
-    global_mean = geometric_mean(f)
-
-    current: set[int] = set(range(len(g.edges)))
-    current_mean = global_mean
+    primes, rows = _dart_rows(g, f)
+    tail, head, edge = g.dart_tail, g.dart_head, g.dart_edge
+    live = np.ones(len(g.edges), dtype=bool)
+    total, count = rows.sum(axis=0), g.dart_count  # the current mean is total / count
     while True:
-        sub, dart_map = _induced_subgraph(g, current)
-        if int(sub.degrees.max()) <= 2:
-            cycle = _trace_cycle(sub, dart_map)
-            cycle_mean = geometric_mean([f[d] for d in cycle])
-            if cycle_mean < global_mean:
-                break
+        darts = np.flatnonzero(live[edge])
+        degree = np.bincount(tail[darts], minlength=g.vertex_count)
+        # a live dart into a vertex of degree two goes on along the one of
+        # the two live darts leaving it that is not its reverse
+        pair = np.zeros(g.vertex_count, dtype=np.int64)
+        np.add.at(pair, tail[darts], darts)
+        chain = darts[degree[head[darts]] == 2]
+        after = np.full(g.dart_count, -1)
+        after[chain] = pair[head[chain]] - g.dart_reverse[chain]
+        if degree.max() <= 2:
+            cycle = [int(darts[0])]
+            while after[cycle[-1]] != cycle[0]:
+                if after[cycle[-1]] < 0 or len(cycle) == len(darts):
+                    raise ConsistencyError("cycle trace did not close")
+                cycle.append(int(after[cycle[-1]]))
             return cycle
 
-        paths = suspended_path_decomposition(sub)
-        candidates = []
-        for path in paths:
-            orig = [dart_map[d] for d in path.darts]
-            if geometric_mean([f[d] for d in orig]) <= current_mean:
-                candidates.append((orig[0], orig))  # keyed by the leading dart
-        candidates.sort()
-        if not candidates:
+        # the subgraph's suspended paths, each dart named by its path's first
+        first = np.arange(g.dart_count)
+        chained = np.flatnonzero(after >= 0)
+        first[after[chained]] = chained
+        while not np.array_equal(first[first], first):
+            first = first[first]
+        sums = np.zeros_like(rows)
+        np.add.at(sums, first[darts], rows[darts])
+        sizes = np.bincount(first[darts], minlength=g.dart_count)
+        leads = darts[degree[tail[darts]] != 2]
+        balance = (sums[leads] * count - sizes[leads, None] * total).tolist()
+        leads = leads[[exponent_sign(primes, row) <= 0 for row in balance]]
+        if not len(leads):
             raise ConsistencyError("no suspended path at or below the current mean")
 
-        chosen = None
-        for _, orig in candidates:
-            removed_edges = {int(g.dart_edge[d]) for d in orig}
-            remaining = _prune_to_min_degree_two(g, current - removed_edges)
-            best = _best_component(g, remaining, f)
-            if best is None:
-                continue
-            best_edges, best_mean = best
-            if best_mean >= current_mean:
-                chosen = (best_edges, best_mean)
+        for lead in leads.tolist():
+            kept = live.copy()
+            kept[edge[darts[first[darts] == lead]]] = False
+            best = _best_component(g, kept, primes, rows)
+            if best is not None and exponent_sign(primes, (best[1] * count - total * best[2]).tolist()) >= 0:
+                live, total, count = best
                 break
-        if chosen is None:
+        else:
             break
-        current, current_mean = chosen
 
     cycle = _max_mean_cycle(g, f)
-    if geometric_mean([f[d] for d in cycle]) < global_mean:
+    balance = rows[cycle].sum(axis=0) * g.dart_count - rows.sum(axis=0) * len(cycle)
+    if exponent_sign(primes, balance.tolist()) < 0:
         raise ConsistencyError("no cycle reaches the global mean")
     return cycle
 
@@ -544,90 +542,74 @@ def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
 def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     """Cycle of maximum geometric f-mean in the transition digraph.
 
-    Exact dynamic program over walk lengths: best[k][v] is the largest
-    f-product over k-arc walks from a fixed start to dart v (the arc
-    leaving u contributes f[u]).  The max-mean value is
-    max_v min_k (best[n][v] / best[k][v]) ** (1/(n-k)); a walk realizing
-    best[n][v*] must contain a cycle, and its best embedded cycle attains
-    the optimum.  All comparisons are exact.
+    Karp's dynamic program: best[k][v] is the largest f-row sum over walks
+    of k arcs from a fixed dart to dart v (the arc leaving u adds f[u]),
+    and the maximum mean is max_v min_k (best[D][v] - best[k][v]) / (D - k).
+    A walk has one way on inside a suspended path, so the table is kept at
+    the first dart b of each path only, and the dart j steps into b's path
+    has best[k][.] = best[k - j][b] + j f(b): its Karp term is b's with
+    D - j in place of D.  Every cycle on the walk realizing the largest
+    term attains the maximum.  All comparisons are exact.
     """
-    n = g.dart_count
+    paths = g.suspended_paths
+    cells = (g.dart_count + 1) * len(paths.start)
+    if cells > _MAX_MEAN_CELLS:
+        from .walks import CapabilityError
+
+        raise CapabilityError(f"a maximum-mean cycle search needs {cells} table cells, more than {_MAX_MEAN_CELLS}")
+    from functools import cmp_to_key
+
+    primes, rows = _dart_rows(g, f)
+    d = g.dart_count
+    weight = (rows * (paths.dist + 1)[:, None]).tolist()  # at a path's first dart, f over the path
+    length, end = (paths.dist + 1).tolist(), paths.anchor.tolist()
+    head, reverse, successor = g.dart_head.tolist(), g.dart_reverse.tolist(), g.chain_successor.tolist()
     offsets, flat = (a.tolist() for a in g.out_dart_table)
-    head, reverse = g.dart_head.tolist(), g.dart_reverse.tolist()
-    best: list[list[Optional[ExactValue]]] = [[None] * n for _ in range(n + 1)]
-    parent: list[list[Optional[int]]] = [[None] * n for _ in range(n + 1)]
-    best[0][0] = ExactValue.one()
-    for k in range(1, n + 1):
-        prev = best[k - 1]
-        for u in range(n):
-            du = prev[u]
-            if du is None:
-                continue
-            through = du * f[u]
-            for v in flat[offsets[head[u]]:offsets[head[u] + 1]]:
-                if v == reverse[u]:
-                    continue
-                known = best[k][v]
-                if known is None or through > known:
-                    best[k][v] = through
-                    parent[k][v] = u
+    # orders (row sum, darts) pairs by their mean
+    mean = cmp_to_key(lambda a, b: exponent_sign(primes, [x * b[1] - y * a[1] for x, y in zip(a[0], b[0])]))
 
-    best_v = None
-    best_mu: Optional[ExactValue] = None
-    for v in range(n):
-        if best[n][v] is None:
-            continue
-        worst: Optional[ExactValue] = None
-        for k in range(n):
-            if best[k][v] is None:
-                continue
-            mu = (best[n][v] / best[k][v]) ** Fraction(1, n - k)
-            if worst is None or mu < worst:
-                worst = mu
-        if worst is not None and (best_mu is None or worst > best_mu):
-            best_mu, best_v = worst, v
-    if best_v is None:
-        raise ConsistencyError("max-mean search found no closed walk")
+    # table[k][b]: the best row sum of a walk of k darts into the first dart
+    # b of a path, and the first dart of the path before (-1 at the start)
+    table: list[dict[int, tuple[list[int], int]]] = [{} for _ in range(d + 1)]
+    table[0][int(paths.order[0])] = ([0] * len(primes), -1)
+    for k, cells_k in enumerate(table):
+        for a, (value, _) in cells_k.items():
+            if k + length[a] <= d:
+                reached = ([x + y for x, y in zip(value, weight[a])], a)
+                later, v = table[k + length[a]], head[end[a]]
+                for b in flat[offsets[v]:offsets[v + 1]]:
+                    if b != reverse[end[a]] and (b not in later or mean((reached[0], 1)) > mean((later[b][0], 1))):
+                        later[b] = reached
 
-    walk = [best_v]
-    v, k = best_v, n
-    while k > 0:
-        v = parent[k][v]
-        walk.append(v)
-        k -= 1
-    walk.reverse()
+    columns: dict[int, list[int]] = {}
+    for k, cells_k in enumerate(table):
+        for b in cells_k:
+            columns.setdefault(b, []).append(k)
+    # Karp's term of the dart D - m steps into the path of b, for m > 0 with
+    # a walk into b, is the smallest mean (table[m][b] - table[k][b]) / (m - k);
+    # a walk of D darts exists, and its cycle leaves a shorter walk to its end
+    terms = [
+        (min((([x - y for x, y in zip(table[m][b][0], table[k][b][0])], m - k) for k in ks[:n]), key=mean), m, b)
+        for b, ks in columns.items()
+        for n, m in enumerate(ks)
+        if n and m > d - length[b]
+    ]
 
-    cycles: list[list[int]] = []
-    position: dict[int, int] = {}
-    reduced: list[int] = []
-    for node in walk:
-        if node in position:
-            start = position[node]
-            cycles.append(reduced[start:])
-            for dropped in reduced[start:]:
-                del position[dropped]
-            del reduced[start:]
-        position[node] = len(reduced)
-        reduced.append(node)
-    if not cycles:
-        raise ConsistencyError("max-mean walk contained no cycle")
-    return max(cycles, key=lambda c: geometric_mean([f[d] for d in c]))  # the first of equals
-
-
-def _best_component(
-    g: Graph, edge_ids: set[int], f: list[ExactValue]
-) -> tuple[set[int], ExactValue] | None:
-    """Component with the largest exact mean; ties go to the smallest dart."""
-    components = _edge_components(g, edge_ids)
-    if not components:
-        return None
-    scored = []
-    for comp in components:
-        darts = _darts_of_edges(g, comp)
-        scored.append((geometric_mean([f[d] for d in darts]), min(darts), comp))
-    best_mean = max(mean for mean, _, _ in scored)
-    ties = sorted((smallest, comp) for mean, smallest, comp in scored if mean == best_mean)
-    return ties[0][1], best_mean
+    # the walk's first repeated dart begins a path, so its first cycle is
+    # a run of whole paths between two visits of one first dart
+    _, m, b = max(terms, key=lambda term: mean(term[0]))
+    firsts = [b]
+    while table[m][firsts[-1]][1] >= 0:
+        firsts.append(table[m][firsts[-1]][1])
+        m -= length[firsts[-1]]
+    firsts.reverse()
+    n = next(n for n, a in enumerate(firsts) if a in firsts[:n])
+    cycle = []
+    for c in firsts[firsts.index(firsts[n]):n]:
+        cycle.append(c)
+        for _ in range(length[c] - 1):
+            cycle.append(successor[cycle[-1]])
+    return cycle
 
 
 # --- combined verdict --------------------------------------------------------

@@ -3,12 +3,13 @@
 All growth-rate verdicts in this package are decided without floating
 point.  The numbers involved (degree products raised to rational powers)
 are always of the form 2**(a/b) * 3**(c/d) * ..., so we represent them by
-a prime -> rational-exponent map and compare by cross-multiplying
-exponents into big integers.
+a prime -> rational-exponent map and compare two by the exact sign of
+their quotient's exponents (:func:`exponent_sign`).
 """
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import lcm, log
 
@@ -88,23 +89,9 @@ class ExactValue:
 
     def _compare(self, other: "ExactValue") -> int:
         """Sign of (self - other), computed exactly."""
-        diff = self / other
-        if not diff._exponents:
-            return 0
-        denominator_lcm = lcm(*(q.denominator for q in diff._exponents.values()))
-        numerator = 1
-        denominator = 1
-        for p, q in diff._exponents.items():
-            e = int(q * denominator_lcm)
-            if e > 0:
-                numerator *= p**e
-            else:
-                denominator *= p**(-e)
-        if numerator > denominator:
-            return 1
-        if numerator < denominator:
-            return -1
-        return 0
+        diff = (self / other)._exponents
+        scale = lcm(*(q.denominator for q in diff.values()))
+        return exponent_sign(diff, [int(q * scale) for q in diff.values()])
 
     def __lt__(self, other: "ExactValue") -> bool:
         return self._compare(other) < 0
@@ -145,6 +132,31 @@ class ExactValue:
             for p, q in self._exponents.items()
         )
         return f"ExactValue({parts})"
+
+
+def exponent_sign(primes, exponents) -> int:
+    """Exact sign of prod(p ** e) - 1 for distinct primes p and integers e.
+
+    Unless the e share a sign, it is the sign of s = sum(e ln p), never 0.
+    A float s decides it when |s| > 1e-9 sum(|e| ln p), far above its
+    rounding.  Otherwise s is taken at rising decimal precision, each ln p
+    correctly rounded to ``digits`` digits, until |s| exceeds the bound
+    sum(|e| ln p) * 10 ** (1 - digits) on its error.
+    """
+    terms = [(p, e) for p, e in zip(primes, exponents) if e]
+    if len({e > 0 for _, e in terms}) < 2:
+        return (terms[0][1] > 0) - (terms[0][1] < 0) if terms else 0
+    estimate = sum(e * log(p) for p, e in terms)
+    if abs(estimate) > 1e-9 * sum(abs(e) * log(p) for p, e in terms):
+        return 1 if estimate > 0 else -1
+    digits = 20
+    while True:
+        with localcontext(Context(prec=digits)):
+            logs = [Fraction(Decimal(p).ln()) for p, _ in terms]
+        total = sum(e * ln for (_, e), ln in zip(terms, logs))
+        if abs(total) * 10 ** (digits - 1) > sum(abs(e) * ln for (_, e), ln in zip(terms, logs)):
+            return 1 if total > 0 else -1
+        digits *= 2
 
 
 def geometric_mean(values: list[ExactValue]) -> ExactValue:

@@ -244,16 +244,21 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
 def _is_connected(g: Graph) -> bool:
     if g.vertex_count > len(g.edges) + 1:  # a spanning tree needs V - 1 edges
         return False
-    # min-label hooking: every root takes the smallest root across its darts,
-    # then pointer jumping sends every vertex to its root; labels only fall,
-    # so each root ends as the smallest vertex of its component
-    label = np.arange(g.vertex_count)
+    return not _component_labels(g.vertex_count, g.dart_tail, g.dart_head).any()
+
+
+def _component_labels(vertex_count: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The smallest vertex in each vertex's component over the arcs
+    ``tail -> head``, closed under reversal like the darts of some edges.
+    Min-label hooking: every root takes the smallest root across its arcs,
+    then pointer jumping sends every vertex to its root."""
+    label = np.arange(vertex_count)
     while True:
-        tail, head = label[g.dart_tail], label[g.dart_head]
-        cross = tail != head
+        tails, heads = label[tail], label[head]
+        cross = tails != heads
         if not cross.any():
-            return not label.any()
-        np.minimum.at(label, tail[cross], head[cross])
+            return label
+        np.minimum.at(label, tails[cross], heads[cross])
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):

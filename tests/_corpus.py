@@ -7,10 +7,20 @@ tests are reproducible run to run.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
-from nbrw import Graph, IrreducibilityVerdict, build_graph, is_nb_irreducible, sample_walk, tracked_degrees
+from nbrw import (
+    ExactValue,
+    Graph,
+    IrreducibilityVerdict,
+    build_graph,
+    is_nb_irreducible,
+    sample_walk,
+    suspended_path_decomposition,
+    tracked_degrees,
+)
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 
@@ -51,6 +61,23 @@ def random_nb_irreducible(
         g = pairing_graph(rng, degrees, half_loop_prob=half_loop_prob)
         if is_nb_irreducible(g) is IrreducibilityVerdict.OK:
             return g
+
+
+def random_path_function(rng: random.Random, g: Graph) -> list[ExactValue]:
+    """Reversal-symmetric, path-constant roots of small integers on the
+    darts of g, drawn as ``test_improving_cycle_random_path_functions``
+    draws them."""
+    paths = suspended_path_decomposition(g)
+    by_lead = {p.darts[0]: p for p in paths}
+    values: list = [None] * g.dart_count
+    for p in paths:
+        if values[p.darts[0]] is not None:
+            continue
+        v = ExactValue.from_integer(rng.choice([2, 3, 4, 5, 7, 9])) ** Fraction(1, rng.choice([1, 2, 3]))
+        reverse_lead = int(g.dart_reverse[p.darts[-1]])
+        for d in p.darts + by_lead[reverse_lead].darts:
+            values[d] = v
+    return values
 
 
 def random_low_growth_graph(rng: random.Random) -> Graph:

@@ -220,7 +220,7 @@ def test_walk_one_sample_rejected(k4e_file, capsys):
 @pytest.mark.parametrize("length", [str(2**63), "99999999999999999999"])
 def test_walk_len_beyond_int64_exit_64(k4e_file, capsys, monkeypatch, length):
     # refused while the arguments are parsed: no graph is read, no walk starts
-    monkeypatch.setattr(nbrw.cli, "run_walks", None)
+    monkeypatch.setattr(nbrw.walks, "run_walks", None)
     monkeypatch.setattr(nbrw.cli, "_load_graph_arg", None)
     with pytest.raises(SystemExit) as exc:
         main(["walk", k4e_file, "--len", length, "--samples", "100"])
@@ -375,12 +375,12 @@ def test_analyze_strict_wheel_certifies_rho_from_the_quotient(tmp_path, capsys, 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
 def test_out_of_memory_exit_2(k4e_file, capsys, monkeypatch, message):
-    from nbrw import cli
+    from nbrw import walks
 
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "run_walks", exhausted)
+    monkeypatch.setattr(walks, "run_walks", exhausted)
     code, _, err = run_cli(capsys, "walk", k4e_file, "--len", "5", "--samples", "10")
     assert code == 2
     assert err == f"error: out of memory{': ' + message if message else ''}\n"
@@ -430,3 +430,32 @@ def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, ex
         assert "scipy.sparse.linalg" in loaded
     else:
         assert loaded == []
+
+
+_MODULE_PROBE = """
+import sys
+from nbrw.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m in ("nbrw.families", "nbrw.variance", "nbrw.walks")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, loaded",
+    [
+        (["analyze", "{k4e}", "--json"], 1, []),
+        (["analyze", "{k4e}", "--with-variance"], 1, ["nbrw.variance"]),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, ["nbrw.walks"]),
+    ],
+    ids=["analyze", "analyze-variance", "walk"],
+)
+def test_commands_load_only_the_modules_they_use(k4e_file, argv, expected_code, loaded):
+    src = str(Path(nbrw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [a.format(k4e=k4e_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, *modules = proc.stderr.splitlines()[-1].split()
+    assert int(code) == expected_code, proc.stderr
+    assert modules == loaded

@@ -1,10 +1,13 @@
 import random
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from nbrw import (
+    CapabilityError,
     ExactValue,
     PreconditionError,
     average_growth_rate,
@@ -20,9 +23,10 @@ from nbrw import (
     k4_minus_edge,
     path_growth_function,
     suspended_path_decomposition,
+    wheel_graph,
 )
 
-from _corpus import random_nb_irreducible
+from _corpus import random_nb_irreducible, random_path_function
 
 
 def exact(n, num=1, den=1):
@@ -322,6 +326,21 @@ def test_max_mean_cycle_matches_enumeration():
         assert karp_mean == brute_mean
 
 
+def test_max_mean_cycle_matches_enumeration_inside_paths():
+    # graphs with many degree-2 vertices, under the growth function and under
+    # arbitrary path functions: the best cycle can be closed by a Karp walk
+    # that ends inside a suspended path
+    from nbrw.conditions import _max_mean_cycle
+
+    rng = random.Random(2525)
+    for _ in range(30):
+        g = random_nb_irreducible(rng, max_vertices=5, degree_range=(2, 3))
+        for f in (path_growth_function(g), random_path_function(rng, g)):
+            cycle = _max_mean_cycle(g, f)
+            cycle_is_valid(g, cycle)
+            assert geometric_mean([f[d] for d in cycle]) == enumerate_simple_cycle_means(g, f)
+
+
 def test_improving_cycle_random_path_functions():
     # arbitrary reversal-symmetric, path-constant values, not just the
     # growth function: the mean bound must still hold exactly
@@ -355,3 +374,73 @@ def test_improving_cycle_validates_input(k4e):
     broken[0] = exact(7)  # breaks reversal symmetry and path constancy
     with pytest.raises(ValueError):
         find_improving_cycle(k4e, broken)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2, None], ids=["float", "int", "none"])
+def test_improving_cycle_names_the_first_malformed_dart(k4e, bad):
+    f = path_growth_function(k4e)
+    f[3] = f[7] = bad
+    with pytest.raises(ValueError, match=r"f\[3\]"):
+        find_improving_cycle(k4e, f)
+
+
+def test_improving_cycle_with_exponents_beyond_int64():
+    # f ** 10**17 orders every mean as f does, and its row sums times a
+    # dart count overflow int64, so the search must take Python ints
+    rng = random.Random(1313)
+    for _ in range(40):
+        g = random_nb_irreducible(rng, max_vertices=8)
+        f = path_growth_function(g)
+        assert find_improving_cycle(g, [v ** 10**17 for v in f]) == find_improving_cycle(g, f)
+
+
+def two_cycle_balloon(k):
+    """Two k-cycles joined by a bridge of two edges: 4k + 4 darts."""
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return build_graph(2 * k + 1, edges + [(0, 2 * k), (2 * k, k)])
+
+
+def test_improving_cycle_balloon_falls_back_to_maximum_mean(monkeypatch):
+    from nbrw import conditions
+
+    g = two_cycle_balloon(1000)
+    assert g.dart_count == 4004
+    f = path_growth_function(g)
+    fallbacks = []
+    search = conditions._max_mean_cycle
+    monkeypatch.setattr(conditions, "_max_mean_cycle", lambda *args: fallbacks.append(1) or search(*args))
+    start = time.perf_counter()
+    cycle = find_improving_cycle(g, f)
+    elapsed = time.perf_counter() - start
+    cycle_is_valid(g, cycle)
+    assert fallbacks == [1]  # peeling either loop strands the bridge
+    # the best cycle crosses the bridge both ways and each loop once: 2004
+    # darts, 4000 at 2 ** (1/1000) and 4 at 2 ** (1/2)
+    assert geometric_mean([f[d] for d in cycle]) == exact(2, 1, 501)
+    assert elapsed < 0.5
+    tracemalloc.start()
+    try:
+        assert find_improving_cycle(g, f) == cycle
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000  # Karp's table on the 6 suspended paths, not on 4,004 darts
+
+
+def test_max_mean_cycle_refuses_above_its_table_bound():
+    from nbrw.conditions import _MAX_MEAN_CELLS, _max_mean_cycle
+
+    g = wheel_graph(256, 1, 1)  # 1,024 darts, each one a suspended path
+    assert (g.dart_count + 1) * len(g.suspended_paths.start) > _MAX_MEAN_CELLS
+    f = [ExactValue.from_integer(2)] * g.dart_count
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError):
+            _max_mean_cycle(g, f)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1_000_000  # refused before any table is built

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from nbrw.exact import ExactValue, factorize, geometric_mean
+from nbrw.exact import ExactValue, exponent_sign, factorize, geometric_mean
 
 
 def test_factorize():
@@ -70,3 +71,20 @@ def test_geometric_mean():
     assert geometric_mean(values) == ExactValue.from_integer(4)
     with pytest.raises(ValueError):
         geometric_mean([])
+
+
+def test_exponent_sign_past_float_resolution():
+    # 630138897 / 397573379, a continued-fraction convergent of log2(3),
+    # exceeds it by 3.8e-19, so 2**630138897 > 3**397573379 (ln of the
+    # ratio 1.06e-10), although the float sum of the logarithms says the
+    # opposite
+    p, q = 630138897, 397573379
+    assert q * math.log(3) - p * math.log(2) > 0
+    assert exponent_sign((2, 3), (p, -q)) == 1
+    assert exponent_sign((2, 3), (-p, q)) == -1
+    assert ExactValue({2: Fraction(p, q)}) > ExactValue.from_integer(3)
+    # a later convergent, 2**8573543875303 > 3**5409303924479 (ln of the
+    # ratio 6.6e-14), is not settled at 20 significant digits either
+    assert exponent_sign((2, 3), (8573543875303, -5409303924479)) == 1
+    assert exponent_sign((2, 3), (0, 0)) == 0
+    assert exponent_sign((2, 3, 5), (4, 0, 1)) == 1

@@ -10,16 +10,20 @@ failed precondition or a rho bracket that rounding keeps wider than
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .conditions import GrowthVerdict, growth_verdict
 from .graph import Graph, IrreducibilityVerdict, format_graph_text, load_graph, parse_graph_text
 from .operators import PowerIterationError
+
+# each command imports the modules it runs: gen, walk and pdf load neither
+# the criteria nor json
+if TYPE_CHECKING:
+    from .conditions import GrowthVerdict
 
 EXIT_EQUAL = 0
 EXIT_STRICT = 1
@@ -85,6 +89,10 @@ def _degree_histogram(g: Graph) -> dict[str, int]:
 
 
 def cmd_analyze(args) -> int:
+    import json
+
+    from .conditions import growth_verdict
+
     g = _load_graph_arg(args.input)
     verdict = g.irreducibility
     report: dict = {
@@ -230,6 +238,8 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_asymvar(args) -> int:
+    import json
+
     from .variance import variance_report
 
     g = _load_graph_arg(args.input)

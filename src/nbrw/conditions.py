@@ -152,13 +152,19 @@ class _Potential:
         each vertex of degree >= 3), so darts with equal rows share one
         pair list."""
         rows, index = self.rows, None
-        if rows.dtype != object:  # np.unique takes no object rows along an axis
-            rows, index = np.unique(rows, axis=0, return_inverse=True)
+        if rows.dtype != object:  # rows beyond int64 are reduced one by one
+            # group the rows by 1-D keys: the first column, then each next one
+            # folded in and renumbered, so that a key stays below D**2
+            _, first, index = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+            for column in rows.T[1:]:
+                values, rank = np.unique(column, return_inverse=True)
+                _, first, index = np.unique(index * len(values) + rank, return_index=True, return_inverse=True)
+            rows = rows[first]
         common = np.gcd(rows, self.scale)
         nums, dens = (rows // common).tolist(), (self.scale // common).tolist()
         pairs = [[[p, n, m] for p, n, m in zip(self.primes, num, den) if n] for num, den in zip(nums, dens)]
         if index is not None:
-            pairs = [pairs[i] for i in index.reshape(-1).tolist()]  # 1-D on every numpy version
+            pairs = [pairs[i] for i in index.tolist()]
         return dict(zip(map(str, range(len(pairs))), pairs))
 
     def log(self) -> np.ndarray:

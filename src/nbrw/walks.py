@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _rng
-from ._kernels import get_kernel
 from .graph import Graph
 from .operators import PreconditionError, require_nb_irreducible
 
@@ -36,7 +34,8 @@ class CapabilityError(ValueError):
 
 def tracked_degrees(g: Graph) -> tuple[int, ...]:
     """Distinct branching degrees (outdeg > 1), ascending."""
-    return tuple(d for d in np.unique(g.out_degree_vector()).tolist() if d > 1)
+    # np.unique without return_* flags would import numpy.ma
+    return tuple(d for d in np.flatnonzero(np.bincount(g.out_degree_vector())).tolist() if d > 1)
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,11 @@ class WalkBatch:
         if n < 2:
             raise PreconditionError("variance needs at least 2 samples")
         logs = [math.log2(v) for v in self.degrees]
-        s1 = [int(x) for x in self.counts.sum(axis=0)]
-        m2 = self.counts.T.astype(np.int64) @ self.counts.astype(np.int64)
+        # each moment sums n products of two counts: past 2**63 int64 would wrap, so use Python ints
+        exact = n * int(self.counts.max(initial=0)) ** 2 >= 2**63
+        counts = self.counts.astype(object if exact else np.int64)
+        s1 = [int(x) for x in counts.sum(axis=0)]
+        m2 = counts.T @ counts
         total_bits = sum(l * s for l, s in zip(logs, s1))
         variance = 0.0
         for a, la in enumerate(logs):
@@ -195,6 +197,8 @@ def run_walks(
     split into at most ``workers`` and at most ``os.cpu_count()`` chunks,
     one thread each.
     """
+    from ._kernels import get_kernel
+
     require_nb_irreducible(g)
     if not 0 <= length < 2**63:
         raise ValueError("length must be non-negative and below 2**63")
@@ -219,6 +223,8 @@ def run_walks(
     if len(chunks) == 1:
         run_chunk(*chunks[0])
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(lambda c: run_chunk(*c), chunks))
     return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
@@ -249,13 +255,14 @@ class ExactBitDistribution:
     degrees: tuple[int, ...]
     probabilities: dict[tuple[int, ...], Fraction]
 
+    def _expectation(self, value) -> Fraction:
+        """Exact E[value(counts)], summed in integers over one common denominator."""
+        den = math.lcm(*(p.denominator for p in self.probabilities.values()))
+        return Fraction(sum(p.numerator * (den // p.denominator) * value(c) for c, p in self.probabilities.items()), den)
+
     def expected_counts(self) -> tuple[Fraction, ...]:
         """Exact expectation of each tracked degree's count."""
-        totals = [Fraction(0)] * len(self.degrees)
-        for counts, p in self.probabilities.items():
-            for i, c in enumerate(counts):
-                totals[i] += p * c
-        return tuple(totals)
+        return tuple(self._expectation(lambda c: c[i]) for i in range(len(self.degrees)))
 
     def mean_bits(self) -> float:
         return sum(float(t) * math.log2(v) for t, v in zip(self.expected_counts(), self.degrees))
@@ -264,16 +271,12 @@ class ExactBitDistribution:
         """Variance of the bit total, from exact count moments."""
         k = len(self.degrees)
         first = self.expected_counts()
-        second = [[Fraction(0)] * k for _ in range(k)]
-        for counts, p in self.probabilities.items():
-            for i, ci in enumerate(counts):
-                for j, cj in enumerate(counts):
-                    second[i][j] += p * ci * cj
         logs = [math.log2(v) for v in self.degrees]
         var = 0.0
         for i in range(k):
             for j in range(k):
-                var += logs[i] * logs[j] * float(second[i][j] - first[i] * first[j])
+                second = self._expectation(lambda c: c[i] * c[j])
+                var += logs[i] * logs[j] * float(second - first[i] * first[j])
         return var
 
     def total_variation(self, histogram: dict[tuple[int, ...], int], samples: int) -> float:

@@ -314,12 +314,12 @@ def test_analyze_bad_tol_exit_64(k4e_file, capsys, tol):
 
 
 def test_analyze_unresolved_rho_exit_2(k4e_file, capsys, monkeypatch):
-    from nbrw import PowerIterationError, cli
+    from nbrw import PowerIterationError, conditions
 
     def stalled(g, rel_tol):
         raise PowerIterationError("the Perron bracket stopped narrowing", last_estimate=1.5, iterations=1000)
 
-    monkeypatch.setattr(cli, "growth_verdict", stalled)
+    monkeypatch.setattr(conditions, "growth_verdict", stalled)  # cmd_analyze imports it when it runs
     code, _, err = run_cli(capsys, "analyze", k4e_file)
     assert code == 2
     assert "stopped narrowing" in err
@@ -432,22 +432,28 @@ def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, ex
         assert loaded == []
 
 
-_MODULE_PROBE = """
+# modules that some command needs and others need not load; numpy.ma comes
+# with np.unique calls that ask for no return_* arrays
+_PROBED = ("concurrent.futures", "nbrw._kernels", "nbrw.conditions", "nbrw.families", "nbrw.variance", "nbrw.walks",
+           "numpy.ma")
+_MODULE_PROBE = f"""
 import sys
 from nbrw.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m in ("nbrw.families", "nbrw.variance", "nbrw.walks")), file=sys.stderr)
+print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr)
 """
 
 
 @pytest.mark.parametrize(
     "argv, expected_code, loaded",
     [
-        (["analyze", "{k4e}", "--json"], 1, []),
-        (["analyze", "{k4e}", "--with-variance"], 1, ["nbrw.variance"]),
-        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, ["nbrw.walks"]),
+        (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions"]),
+        (["analyze", "{k4e}", "--with-variance"], 1, ["nbrw.conditions", "nbrw.variance"]),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, ["nbrw._kernels", "nbrw.walks"]),
+        (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks"]),
+        (["gen", "k4e"], 0, ["nbrw.families"]),
     ],
-    ids=["analyze", "analyze-variance", "walk"],
+    ids=["analyze", "analyze-variance", "walk", "pdf", "gen"],
 )
 def test_commands_load_only_the_modules_they_use(k4e_file, argv, expected_code, loaded):
     src = str(Path(nbrw.__file__).resolve().parents[1])

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nbrw import (
@@ -17,6 +18,7 @@ from nbrw import (
     complete_bipartite_graph,
     complete_graph,
     dart_transitions,
+    equal_growth_wheel,
     find_improving_cycle,
     geometric_mean,
     growth_verdict,
@@ -25,6 +27,7 @@ from nbrw import (
     suspended_path_decomposition,
     wheel_graph,
 )
+from nbrw.conditions import _Potential
 
 from _corpus import random_nb_irreducible, random_path_function
 
@@ -231,6 +234,32 @@ def test_verdict_json_shapes(k4e, k4, applications):
     assert strict["rho"]["matvecs"] == strict_applications > strict["rho"]["iterations"] >= 1
     assert equal["rho"]["matvecs"] == equal["rho"]["iterations"] == 1
     assert len(applications) == strict_applications + 1
+
+
+def pairs_by_dart(phi):
+    """``_Potential.as_pairs`` computed dart by dart with Fractions."""
+    return {
+        str(d): [[p, *Fraction(x, phi.scale).as_integer_ratio()] for p, x in zip(phi.primes, row) if x]
+        for d, row in enumerate(phi.rows.tolist())
+    }
+
+
+def test_potential_pairs_on_certificates_and_on_several_primes():
+    rng = random.Random(1313)
+    corpus = [random_nb_irreducible(rng) for _ in range(40)]
+    certified = [check_cycle_condition(g).phi for g in [*corpus, equal_growth_wheel(8), complete_bipartite_graph(3, 4)]]
+    potentials = [phi for phi in certified if phi is not None]
+    assert len(potentials) >= 3 and {phi.primes for phi in potentials} >= {(2,), (2, 3)}
+    # rows over three primes fold several columns; the same rows as Python
+    # ints take the object branch, and so do rows beyond int64
+    for g in corpus:
+        rows = np.array([[rng.randint(-3, 3) for _ in range(3)] for _ in range(g.dart_count)], dtype=np.int64)
+        potentials.append(_Potential((2, 3, 5), rng.choice([1, 2, 6]), rows))
+        potentials.append(_Potential((2, 3, 5), 6, rows.astype(object)))
+    huge = np.array([[2**70, -(2**71)], [0, 3 * 2**70], [2**70, -(2**71)]], dtype=object)
+    potentials.append(_Potential((2, 3), 3 * 2**70, huge))
+    for phi in potentials:
+        assert phi.as_pairs() == pairs_by_dart(phi)
 
 
 # --- improving cycle ----------------------------------------------------------

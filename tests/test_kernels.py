@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import random
 
@@ -145,7 +146,7 @@ def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
             chunk_counts.append(len(items))
             return map(fn, items)
 
-    monkeypatch.setattr(walks, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)  # run_walks imports it when it runs
     monkeypatch.setattr(walks.os, "cpu_count", lambda: 3)
     reference = run_walks(k4e, 29, 997, seed=31, workers=1)
     capped = run_walks(k4e, 29, 997, seed=31, workers=2000)

@@ -31,6 +31,7 @@ from nbrw import (
     wheel_graph,
 )
 from nbrw._kernels import available_engines
+from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
 
@@ -145,6 +146,34 @@ def test_estimate_bit_stats_k4e(k4e):
     assert abs(stats.mean_bits_per_step - 0.6) < 0.005
     assert abs(stats.variance_of_bits / 400 - 0.016) < 0.004
     assert stats.sample_count == 20_000
+
+
+def test_bit_stats_exact_where_int64_moments_would_overflow(k4e):
+    # four samples of counts near 3e9: n * max count**2 > 2**63, so the
+    # second moment no longer fits int64; the deviations 0, 2, 4, 6 have a
+    # sample variance of 20/3 (one bit per count, outdeg 2)
+    base = 3 * 10**9
+    for start in (base, 0):  # beyond the bound, and the same deviations within it
+        counts = np.array([[start], [start + 2], [start + 4], [start + 6]], dtype=np.int64)
+        batch = walks.WalkBatch(k4e, 10**10, 0, (2,), counts, np.zeros(4, dtype=np.int32), engine="python")
+        stats = batch.bit_stats()
+        assert stats.variance_of_bits == 20 / 3
+        assert stats.mean_bits_per_step == (start + 3) / 10**10
+        assert stats.standard_error_of_mean == math.sqrt(20 / 3 / 4) / 10**10
+
+
+def test_tracked_degrees_are_the_branching_out_degrees():
+    rng = random.Random(1313)
+    corpus = [random_nb_irreducible(rng) for _ in range(40)] + graphs_with_loops(rng) + [
+        half_loop_barbell(),
+        build_graph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2, WHOLE_LOOP)]),
+        equal_growth_wheel(8),
+    ]
+    for g in corpus:
+        out_degrees = {g.out_degree(e) for e in range(g.dart_count)}
+        degrees = tracked_degrees(g)
+        assert degrees == tuple(sorted(out_degrees - {0, 1})), g
+        assert all(type(d) is int for d in degrees)
 
 
 def test_marginal_stationarity_chi_squared(k4e):
@@ -331,8 +360,6 @@ def test_engines_identical_when_both_present(k4e):
 
 def half_loop_barbell():
     # half-loops at both ends of a doubled edge: 6 darts, degrees (3, 3)
-    from nbrw.graph import HALF_LOOP
-
     return build_graph(2, [(0, 1), (0, 1), (0, 0, HALF_LOOP), (1, 1, HALF_LOOP)])
 
 

@@ -23,7 +23,7 @@ _EXPORTS = {
     " k4_minus_edge subdivide wheel_graph",
     "graph": "Dart Graph GraphError GraphParseError IrreducibilityVerdict build_graph dart_transitions"
     " format_graph_text is_nb_irreducible load_graph parse_graph_text save_graph",
-    "operators": "FactoredNbOperator NbOperator PerronResult PowerIterationError PreconditionError"
+    "operators": "FactoredNbOperator PerronResult PowerIterationError PreconditionError"
     " build_nb_matrix build_transition_matrix build_weighted_matrix count_nb_walks cover_growth_rate"
     " enumerate_nb_walks factored_nb_operator interpolation_matrix nb_perron perron perron_value"
     " stationary_distribution",

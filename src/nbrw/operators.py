@@ -1,20 +1,17 @@
 """Sparse operators on the dart set and their Perron eigenvalues.
 
-Three operators share the same sparsity pattern (one row per dart, one
-column per legal continuation):
-
-* the 0/1 adjacency operator ``B`` of the dart-transition relation,
-* the walk transition matrix ``P`` with row entries 1/outdeg(e),
-* reweighted variants with entry ``P[e, f] * beta(e)`` for positive beta.
-
-The interpolation ``M_t`` (entry-wise ``P**(1-t) * B**t``) is the beta
-variant with ``beta(e) = outdeg(e)**t``.
+Every operator here is the adjacency operator ``B`` of the dart-transition
+relation (one row per dart, one column per legal continuation) with its
+rows scaled by a positive weight w: ``B`` itself, the walk transition
+matrix ``P`` (w = 1/outdeg), reweighted variants ``P[e, f] * beta(e)``
+(w = beta/outdeg), and the interpolation ``M_t``, entry-wise
+``P**(1-t) * B**t`` (w = outdeg**(t-1)).
 
 ``B`` factors through the vertices, ``B = T S - J`` (head incidence times
-out-incidence, minus the reversal): the matrices are built from that
-product, and :class:`FactoredNbOperator` applies it in O(darts) time and
-memory without forming the transition arcs.  :func:`nb_perron` certifies
-rho on ``B`` from a start solved on ``B`` reduced to its branching darts.
+out-incidence, minus the reversal): :class:`FactoredNbOperator` applies it
+in O(darts) time and memory, and only its ``matrix`` property forms the
+transition arcs.  :func:`nb_perron` certifies rho on ``B`` from a start
+solved on ``B`` reduced to its branching darts.
 """
 
 from __future__ import annotations
@@ -27,9 +24,9 @@ import numpy as np
 
 from .graph import Graph, IrreducibilityVerdict
 
-# scipy.sparse takes most of the time of ``import nbrw``, and only the
-# per-arc matrix builders and perron on a matrix need it, so they import
-# it where they use it
+# scipy.sparse takes most of the time of ``import nbrw``, and only
+# ``FactoredNbOperator.matrix`` and perron on a matrix need it, so they
+# import it where they use it
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -54,27 +51,15 @@ _STALL_ITERATIONS = 1000
 _QUOTIENT_STEPS = 500
 
 
-@dataclass(frozen=True)
-class NbOperator:
-    """A sparse operator over darts together with its construction kind."""
-
-    matrix: sp.csr_matrix
-    kind: str
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _sums_except(tail: np.ndarray, x: np.ndarray, vertex_count: int, at: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """``y[i]``, the sum of x over the darts leaving vertex ``at[i]`` except
     dart ``skip[i]``, which leaves ``at[i]``: ``outsum[at[i]] - x[skip[i]]``
-    with ``outsum[v]`` the sum of x over the darts leaving v.
+    with ``outsum[v]`` the sum of x over the darts leaving v, for x >= 0.
 
     Where ``x[skip[i]]`` outweighs the difference (over half of ``outsum``,
-    so at most one i per vertex) the subtraction would cancel, so there the
-    other darts are summed directly; every entry keeps full relative
-    accuracy.
+    so at most one i per vertex when x >= 0) the subtraction would cancel,
+    so there the other darts are summed directly; every entry keeps full
+    relative accuracy.
     """
     sub = x[skip]
     y = np.bincount(tail, x, vertex_count)[at] - sub
@@ -88,12 +73,15 @@ def _sums_except(tail: np.ndarray, x: np.ndarray, vertex_count: int, at: np.ndar
 
 @dataclass(frozen=True)
 class FactoredNbOperator:
-    """The adjacency operator ``B`` applied through the vertices in O(darts).
+    """The operator ``diag(weight) B`` applied through the vertices in
+    O(darts); B itself when ``weight`` is None.
 
     Where head(e) has degree two (``chain``), ``(Bx)(e)`` is x of e's only
     successor (``successor``); at every other dart (``branching``, with
     heads ``head`` and reverses ``reverse``) it is the sum of x over the
-    darts leaving head(e) except rev(e), from :func:`_sums_except`.
+    darts leaving head(e) except rev(e), from :func:`_sums_except`.  Any
+    real vector x is accepted: one with a negative entry is applied as
+    ``B max(x, 0) - B max(-x, 0)``, since the sums are accurate for x >= 0.
     """
 
     tail: np.ndarray
@@ -103,15 +91,41 @@ class FactoredNbOperator:
     branching: np.ndarray
     head: np.ndarray
     reverse: np.ndarray
+    weight: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.tail), len(self.tail))
 
+    @property
+    def dimension(self) -> int:
+        return len(self.tail)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The operator as a CSR matrix, one entry per transition arc: the
+        one place that forms the ``sum deg (deg - 1)`` arcs."""
+        import scipy.sparse as sp
+
+        n, v, b, c = self.shape[0], self.vertex_count, self.branching, self.chain
+        ones = np.ones(n)
+        into = sp.csr_matrix((ones[b], (b, self.head)), shape=(n, v))
+        out = sp.csr_matrix((ones, (self.tail, np.arange(n))), shape=(v, n))
+        # T S - J on the branching rows (the sum drops each cancelled (e, rev e)); a chain row's one arc
+        jumps = (np.append(-ones[b], ones[c]), (np.append(b, c), np.append(self.reverse, self.successor)))
+        m = into @ out + sp.csr_matrix(jumps, shape=(n, n))
+        if self.weight is not None:
+            m.data *= np.repeat(self.weight, np.diff(m.indptr))
+        return m
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.min() < 0:
+            return self @ np.maximum(x, 0.0) - self @ np.maximum(-x, 0.0)
         y = np.empty_like(x)
         y[self.chain] = x[self.successor]
         y[self.branching] = _sums_except(self.tail, x, self.vertex_count, self.head, self.reverse)
+        if self.weight is not None:
+            y *= self.weight
         return y
 
 
@@ -121,28 +135,9 @@ def require_nb_irreducible(g: Graph) -> None:
         raise PreconditionError(f"requires NB-irreducibility, got {g.irreducibility.value}")
 
 
-def _adjacency_csr(g: Graph) -> sp.csr_matrix:
-    """``T S - J`` as a CSR matrix; the subtraction drops each (e, reverse e)."""
-    import scipy.sparse as sp
-
-    n, v = g.dart_count, g.vertex_count
-    ones = np.ones(n)
-    darts = np.arange(n)
-    head = sp.csr_matrix((ones, (darts, g.dart_head)), shape=(n, v))
-    out = sp.csr_matrix((ones, (g.dart_tail, darts)), shape=(v, n))
-    reverse = sp.csr_matrix((ones, (darts, g.dart_reverse)), shape=(n, n))
-    return head @ out - reverse
-
-
-def build_nb_matrix(g: Graph) -> NbOperator:
-    """0/1 adjacency operator of the dart-transition relation."""
-    if g.vertex_count == 0 or int(g.degrees.min()) < 2:
-        raise PreconditionError("adjacency operator requires minimum degree >= 2")
-    return NbOperator(matrix=_adjacency_csr(g), kind="adjacency")
-
-
 def factored_nb_operator(g: Graph) -> FactoredNbOperator:
-    """The adjacency operator of :func:`build_nb_matrix` in O(darts) memory."""
+    """0/1 adjacency operator ``B`` of the dart-transition relation, in
+    O(darts) memory."""
     if g.vertex_count == 0 or int(g.degrees.min()) < 2:
         raise PreconditionError("adjacency operator requires minimum degree >= 2")
     successor = g.chain_successor
@@ -153,31 +148,33 @@ def factored_nb_operator(g: Graph) -> FactoredNbOperator:
     )
 
 
-def build_transition_matrix(g: Graph) -> NbOperator:
-    """Row-stochastic walk transition matrix (rows scaled by 1/outdeg)."""
+def build_nb_matrix(g: Graph) -> FactoredNbOperator:
+    """The adjacency operator ``B``, as :func:`factored_nb_operator` builds it."""
+    return factored_nb_operator(g)
+
+
+def build_transition_matrix(g: Graph) -> FactoredNbOperator:
+    """Row-stochastic walk transition matrix ``P``: B with rows scaled by 1/outdeg."""
     require_nb_irreducible(g)
-    m = _adjacency_csr(g)
-    outdeg = np.diff(m.indptr)
-    m.data = np.repeat(1.0 / outdeg, outdeg)
-    return NbOperator(matrix=m, kind="transition")
+    return replace(factored_nb_operator(g), weight=1.0 / g.out_degree_vector())
 
 
-def build_weighted_matrix(g: Graph, beta: np.ndarray) -> NbOperator:
+def build_weighted_matrix(g: Graph, beta: np.ndarray) -> FactoredNbOperator:
     """Transition matrix with row e multiplied by beta(e) > 0."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (g.dart_count,):
         raise PreconditionError(f"beta must have one weight per dart ({g.dart_count})")
     if np.any(beta <= 0):
         raise PreconditionError("beta weights must be strictly positive")
-    m = build_transition_matrix(g).matrix  # freshly built, so it is scaled in place
-    m.data *= np.repeat(beta, np.diff(m.indptr))
-    return NbOperator(matrix=m, kind="weighted")
+    p = build_transition_matrix(g)
+    return replace(p, weight=beta * p.weight)
 
 
-def interpolation_matrix(g: Graph, t: float) -> NbOperator:
-    """Entry-wise interpolation between the transition matrix (t=0) and B (t=1)."""
-    outdeg = g.out_degree_vector().astype(np.float64)
-    return build_weighted_matrix(g, outdeg**t)
+def interpolation_matrix(g: Graph, t: float) -> FactoredNbOperator:
+    """Entry-wise interpolation ``P**(1-t) * B**t`` between the transition
+    matrix (t=0) and B (t=1): B with rows scaled by outdeg**(t-1)."""
+    require_nb_irreducible(g)
+    return replace(factored_nb_operator(g), weight=g.out_degree_vector() ** (t - 1.0))
 
 
 def stationary_distribution(g: Graph) -> np.ndarray:
@@ -203,8 +200,6 @@ class PerronResult:
 
 
 def _as_matrix(op):
-    if isinstance(op, NbOperator):
-        return op.matrix
     if isinstance(op, FactoredNbOperator):
         return op
     import scipy.sparse as sp
@@ -226,7 +221,7 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
 
     Parameters
     ----------
-    op : NbOperator, FactoredNbOperator, sparse matrix, or 2d array
+    op : FactoredNbOperator (from any builder here), scipy sparse matrix, or 2d array
     rel_tol : certified relative width of the returned bracket
     max_iter : iteration cap; defaults to ``100 n log n + 1000``
     start : positive initial vector; defaults to the constant vector

@@ -53,21 +53,21 @@ def centered_bit_values(g: Graph) -> np.ndarray:
 def truncated_variance(g: Graph, length: int) -> float:
     """Normalized variance of the bit total at a finite walk length.
 
-    Exact up to float rounding; evaluated by iterated matrix-vector
-    products, never by forming matrix powers.
+    Exact up to float rounding; evaluated by iterated products with the
+    factored transition operator, O(darts) each, never by forming matrix
+    powers or the transition arcs.
     """
     require_nb_irreducible(g)
     if length < 1:
         raise ValueError("length must be >= 1")
     f = centered_bit_values(g)
-    p = build_transition_matrix(g).matrix
-    n = g.dart_count
+    p = build_transition_matrix(g)
     acc = float(f @ f)
-    y = f.copy()
+    y = f
     for delta in range(1, length):
         y = p @ y
         acc += 2.0 * (1.0 - delta / length) * float(f @ y)
-    return acc / n
+    return acc / g.dart_count
 
 
 def _pinned_solve(rows, cols, data, rhs) -> np.ndarray:

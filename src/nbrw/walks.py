@@ -194,8 +194,9 @@ def run_walks(
     Sampling is embarrassingly parallel: sample s always uses stream s of
     the seed, and workers write disjoint slices, so the result does not
     depend on ``workers`` at all (it only affects speed).  The samples are
-    split into at most ``workers`` and at most ``os.cpu_count()`` chunks,
-    one thread each.
+    split into at most ``workers`` chunks and at most one per CPU that the
+    process may run on (``os.sched_getaffinity``), one thread each, and
+    each thread is pinned to a CPU of its own.
     """
     from ._kernels import get_kernel
 
@@ -211,7 +212,8 @@ def run_walks(
     end_darts = np.zeros(samples, dtype=np.int32)
     name, kernel = get_kernel(engine)
 
-    bounds = np.linspace(0, samples, min(workers, os.cpu_count() or 1, samples) + 1, dtype=np.int64)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
+    bounds = np.linspace(0, samples, min(workers, len(cpus), samples) + 1, dtype=np.int64)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     seed_word = seed & _rng.MASK64
@@ -225,7 +227,16 @@ def run_walks(
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        def pin() -> None:
+            # a fresh process's threads can all stay on the CPU they started
+            # on, so each pool thread takes one CPU (list.pop is atomic);
+            # where that fails it runs unpinned
+            try:
+                os.sched_setaffinity(0, [cpus.pop()])
+            except (AttributeError, OSError):
+                pass
+
+        with ThreadPoolExecutor(max_workers=len(chunks), initializer=pin) as pool:
             list(pool.map(lambda c: run_chunk(*c), chunks))
     return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
 

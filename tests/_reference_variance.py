@@ -1,18 +1,71 @@
-"""The asymptotic variance as it was solved before the reduction to the
-branching vertices: one sparse vertex-split Poisson system of size D + V
-in the unknowns x (darts) and y (vertices), by scipy's sparse LU.
+"""Two variance evaluations as they were before the package stopped
+forming per-arc matrices, kept as the oracles that ``test_variance.py``
+compares against:
 
-Kept verbatim (apart from imports) as the oracle that ``test_variance.py``
-compares the reduced solve against.
+* the asymptotic variance as it was solved before the reduction to the
+  branching vertices: one sparse vertex-split Poisson system of size
+  D + V in the unknowns x (darts) and y (vertices), by scipy's sparse LU;
+* the truncated variance, iterated on the per-arc transition matrix
+  (``sum deg (deg - 1)`` stored arcs), which the factored operator replaced.
+
+Kept verbatim, apart from imports and from the per-arc matrix builders,
+which return their CSR matrix instead of wrapping it.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from nbrw.graph import Graph
 from nbrw.operators import require_nb_irreducible
 from nbrw.variance import centered_bit_values
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def _adjacency_csr(g: Graph) -> sp.csr_matrix:
+    """``T S - J`` as a CSR matrix; the subtraction drops each (e, reverse e)."""
+    import scipy.sparse as sp
+
+    n, v = g.dart_count, g.vertex_count
+    ones = np.ones(n)
+    darts = np.arange(n)
+    head = sp.csr_matrix((ones, (darts, g.dart_head)), shape=(n, v))
+    out = sp.csr_matrix((ones, (g.dart_tail, darts)), shape=(v, n))
+    reverse = sp.csr_matrix((ones, (darts, g.dart_reverse)), shape=(n, n))
+    return head @ out - reverse
+
+
+def build_transition_matrix(g: Graph) -> sp.csr_matrix:
+    """Row-stochastic walk transition matrix (rows scaled by 1/outdeg)."""
+    require_nb_irreducible(g)
+    m = _adjacency_csr(g)
+    outdeg = np.diff(m.indptr)
+    m.data = np.repeat(1.0 / outdeg, outdeg)
+    return m
+
+
+def truncated_variance(g: Graph, length: int) -> float:
+    """Normalized variance of the bit total at a finite walk length.
+
+    Exact up to float rounding; evaluated by iterated matrix-vector
+    products, never by forming matrix powers.
+    """
+    require_nb_irreducible(g)
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    f = centered_bit_values(g)
+    p = build_transition_matrix(g)
+    n = g.dart_count
+    acc = float(f @ f)
+    y = f.copy()
+    for delta in range(1, length):
+        y = p @ y
+        acc += 2.0 * (1.0 - delta / length) * float(f @ y)
+    return acc / n
 
 
 def _pinned_solve(a, rhs) -> np.ndarray:

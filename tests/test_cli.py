@@ -405,12 +405,13 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=
         (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, False),
         (["pdf", "{k4e}", "--len", "5"], 0, False),
         (["asymvar", "{k4e}"], 0, False),
+        (["asymvar", "{k4e}", "--truncate", "8"], 0, False),
         (["analyze", "{k4e}", "--with-variance"], 1, False),
         # one more branching vertex than the dense solve takes
         (["asymvar", "{wide}"], 0, True),
     ],
-    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "analyze-variance-strict",
-         "asymvar-above-dense-cutoff"],
+    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "asymvar-truncated",
+         "analyze-variance-strict", "asymvar-above-dense-cutoff"],
 )
 def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, expected_code, sparse_solve):
     w523, wide = tmp_path / "w523.txt", tmp_path / "wide.txt"

@@ -1,11 +1,14 @@
 import concurrent.futures
 import hashlib
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from nbrw import build_graph, k4_minus_edge, run_walks, sample_walk, walks, wheel_graph
+from nbrw import _kernels as kernels
 from nbrw._kernels import available_engines, get_kernel
 from nbrw._rng import MASK64, draw, mix64, stream_key
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
@@ -128,11 +131,12 @@ def test_chunking_never_depends_on_worker_count(k4e):
 
 
 def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
-    # a recording stand-in runs the chunks in turn, so no thread starts
+    # a recording stand-in runs the chunks in turn, so no thread starts, and
+    # it never calls the initializer, which would pin the caller's thread
     pool_sizes, chunk_counts = [], []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             pool_sizes.append(max_workers)
 
         def __enter__(self):
@@ -147,13 +151,38 @@ def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)  # run_walks imports it when it runs
-    monkeypatch.setattr(walks.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(walks.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     reference = run_walks(k4e, 29, 997, seed=31, workers=1)
     capped = run_walks(k4e, 29, 997, seed=31, workers=2000)
     assert pool_sizes == [3]
     assert chunk_counts == [3]  # at most one chunk per thread, not one per requested worker
     assert np.array_equal(reference.counts, capped.counts)
     assert np.array_equal(reference.end_darts, capped.end_darts)
+
+
+def test_pool_threads_each_pinned_to_their_own_cpu(k4e, monkeypatch):
+    caller_cpus = os.sched_getaffinity(0)
+    if len(caller_cpus) < 2:
+        pytest.skip("needs two CPUs to pin two threads apart")
+    name, kernel = get_kernel()
+    seen = {}
+
+    def recording(*args):
+        seen.setdefault(threading.get_ident(), []).append(os.sched_getaffinity(0))
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "get_kernel", lambda engine=None: (name, recording))
+    reference = run_walks(k4e, 200, 4000, seed=7, workers=1)
+    seen.clear()
+    pinned = run_walks(k4e, 200, 4000, seed=7, workers=len(caller_cpus))
+    assert threading.get_ident() not in seen  # the chunks ran on pool threads
+    cpus = [affinity for calls in seen.values() for affinity in set(map(frozenset, calls))]
+    assert all(len(affinity) == 1 for affinity in cpus)
+    assert len(set(cpus)) == len(cpus) == len(seen)  # one CPU per thread, no two threads share one
+    assert set().union(*cpus) <= caller_cpus
+    assert os.sched_getaffinity(0) == caller_cpus  # the caller stays unpinned
+    assert np.array_equal(reference.counts, pinned.counts)
+    assert np.array_equal(reference.end_darts, pinned.end_darts)
 
 
 # Walk streams recorded from the per-arc successor table the kernels used to

@@ -29,6 +29,7 @@ from nbrw import (
     wheel_graph,
 )
 
+import _reference_variance as reference
 from _corpus import graphs_with_loops, random_nb_irreducible, random_regular
 
 
@@ -235,6 +236,21 @@ def test_factored_operator_matches_matrix_on_corpus():
         assert np.allclose(factored_nb_operator(g) @ x, expected, rtol=1e-14, atol=0)
 
 
+def test_factored_operators_match_matrix_on_signed_vectors():
+    # two darts leaving one vertex can both outweigh the rest once x has
+    # signs, which the cancellation repair of the sums must not mistake;
+    # .matrix itself is checked against the per-arc T S - J of the oracle
+    rng = random.Random(818)
+    graphs = [random_nb_irreducible(rng, half_loop_prob=0.3) for _ in range(100)]
+    graphs += [wheel_graph(5, 3, 2), equal_growth_wheel(8)]
+    for g in graphs:
+        assert (factored_nb_operator(g).matrix != reference._adjacency_csr(g)).nnz == 0, g
+        x = np.random.default_rng(rng.randrange(2**32)).standard_normal(g.dart_count)
+        for op in (factored_nb_operator(g), build_transition_matrix(g), interpolation_matrix(g, 0.3)):
+            expected = op.matrix @ x
+            assert np.abs(op @ x - expected).max() <= 1e-13 * np.abs(expected).max(), g
+
+
 def test_factored_operator_resolves_dominated_vertices():
     # K5 with two 60-edge loops on vertex 0: the Perron vector spans 3**60
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -247,7 +263,7 @@ def test_factored_operator_resolves_dominated_vertices():
         edges.append((prev, 0))
     g = build_graph(nv, edges)
     result = perron(factored_nb_operator(g), rel_tol=1e-13)
-    assert abs(result.value - perron_value(build_nb_matrix(g), rel_tol=1e-13)) <= 1e-12
+    assert abs(result.value - perron_value(build_nb_matrix(g).matrix, rel_tol=1e-13)) <= 1e-12
 
 
 def test_perron_bracket_contains_value(k4e):

@@ -11,7 +11,7 @@ import nbrw
 
 PUBLIC_NAMES = sorted(
     """BitStats CapabilityError ConditionVerdict ConsistencyError Dart ExactBitDistribution ExactValue
-    FactoredNbOperator Graph GraphError GraphParseError GrowthVerdict IrreducibilityVerdict NbOperator
+    FactoredNbOperator Graph GraphError GraphParseError GrowthVerdict IrreducibilityVerdict
     PerronResult PowerIterationError PreconditionError SuspendedPath VarianceReport WalkBatch WalkSample
     asymptotic_variance average_growth_rate build_graph build_nb_matrix build_transition_matrix
     build_weighted_matrix centered_bit_values chain_asymptotic_variance check_cycle_condition

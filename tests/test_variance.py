@@ -133,6 +133,18 @@ def test_reduced_solve_matches_dense_fundamental_solve():
         assert abs(asymptotic_variance(g) - (-(f @ f) + 2.0 * (f @ x)) / n) <= 1e-12
 
 
+def test_truncated_variance_matches_per_arc_iteration():
+    # the reference iterates the per-arc CSR transition matrix; the factored
+    # operator applies the same P to signed vectors through the vertices
+    rng = random.Random(2424)
+    graphs = [random_nb_irreducible(rng, half_loop_prob=0.3) for _ in range(40)]
+    graphs += [wheel_graph(5, 3, 2), equal_growth_wheel(8)]
+    for g in graphs:
+        for length in (1, 8, 64, 1025):
+            expected = reference.truncated_variance(g, length)
+            assert abs(truncated_variance(g, length) - expected) <= 1e-12 * abs(expected), (g, length)
+
+
 def _turns_back(g):
     """Whether some suspended path between branching darts is its own
     reverse: it runs into a half-loop on a degree-2 vertex and comes back."""

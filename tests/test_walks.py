@@ -119,7 +119,7 @@ def test_run_walks_matches_scalar_walks(k4e, monkeypatch):
         assert high == batch.counts[s, 0]
     # walks that end inside a suspended path, on every engine: 13 samples in
     # three chunks, from samples 0, 4 and 8
-    monkeypatch.setattr(walks.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(walks.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     for g in [wheel_graph(5, 3, 12), *graphs_with_loops(random.Random(1313))]:
         for length in range(int(g.suspended_paths.length.max()) + 3):
             counts, ends = scalar_walk_counts(g, length, 13, range(13))

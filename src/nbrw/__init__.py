@@ -18,19 +18,17 @@ _EXPORTS = {
     "conditions": "ConditionVerdict ConsistencyError GrowthVerdict SuspendedPath average_growth_rate"
     " check_cycle_condition check_suspended_path_condition find_improving_cycle growth_verdict"
     " path_growth_function suspended_path_decomposition",
-    "exact": "ExactValue geometric_mean",
+    "exact": "ExactValue",
     "families": "complete_bipartite_graph complete_graph equal_growth_wheel equal_growth_wheel_parameters"
     " k4_minus_edge subdivide wheel_graph",
-    "graph": "Dart Graph GraphError GraphParseError IrreducibilityVerdict build_graph dart_transitions"
-    " format_graph_text is_nb_irreducible load_graph parse_graph_text save_graph",
-    "operators": "FactoredNbOperator PerronResult PowerIterationError PreconditionError"
-    " build_nb_matrix build_transition_matrix build_weighted_matrix count_nb_walks cover_growth_rate"
-    " enumerate_nb_walks factored_nb_operator interpolation_matrix nb_perron perron perron_value"
-    " stationary_distribution",
-    "variance": "VarianceReport asymptotic_variance centered_bit_values chain_asymptotic_variance"
-    " truncated_variance variance_report",
-    "walks": "BitStats CapabilityError ExactBitDistribution WalkBatch WalkSample distribution_csv"
-    " estimate_bit_stats exact_bit_distribution histogram_csv run_walks sample_walk tracked_degrees",
+    "graph": "Graph GraphError GraphParseError IrreducibilityVerdict build_graph format_graph_text"
+    " is_nb_irreducible load_graph parse_graph_text save_graph",
+    "operators": "CapabilityError FactoredNbOperator PerronResult PowerIterationError PreconditionError"
+    " build_transition_matrix build_weighted_matrix cover_growth_rate factored_nb_operator"
+    " interpolation_matrix nb_perron perron",
+    "variance": "VarianceReport asymptotic_variance centered_bit_values truncated_variance variance_report",
+    "walks": "BitStats ExactBitDistribution WalkBatch distribution_csv exact_bit_distribution histogram_csv"
+    " run_walks tracked_degrees",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(["cli", "_kernels", "_rng", *_EXPORTS])

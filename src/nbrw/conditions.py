@@ -32,6 +32,7 @@ import numpy as np
 from .exact import ExactValue, exponent_sign, factorize
 from .graph import Graph, SuspendedPaths, _component_labels
 from .operators import (
+    CapabilityError,
     PerronResult,
     PreconditionError,
     nb_perron,
@@ -177,11 +178,10 @@ class _Potential:
 class ConditionVerdict:
     """Outcome of one exact criterion.
 
-    ``witness`` is a potential certificate (dart -> ExactValue) when the
-    cycle criterion holds, a violating :class:`SuspendedPath`, or a
-    violating cycle as a dart tuple.  The path criterion carries no
-    certificate object when it holds.  The potential is kept as integer
-    exponent rows (``phi``); the ``ExactValue`` map is built when first read.
+    The witness is a potential certificate ``phi`` (integer exponent rows,
+    one per dart) when the cycle criterion holds, a violating
+    :class:`SuspendedPath`, or a violating cycle as a dart tuple.  The path
+    criterion carries no certificate object when it holds.
     """
 
     holds: bool
@@ -189,16 +189,6 @@ class ConditionVerdict:
     witness_path: Optional[SuspendedPath] = None
     witness_cycle: Optional[tuple[int, ...]] = None
     phi: Optional[_Potential] = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def potential(self) -> Optional[dict[int, ExactValue]]:
-        if self.phi is None:
-            return None
-        scale = self.phi.scale
-        return {
-            d: ExactValue({p: Fraction(x, scale) for p, x in zip(self.phi.primes, row)})
-            for d, row in enumerate(self.phi.rows.tolist())
-        }
 
     def to_json(self) -> dict:
         payload = {
@@ -487,7 +477,7 @@ def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     Karp's dynamic program with its table kept at the first dart of each
     suspended path, (D + 1) * (number of paths) cells of one integer row
     over the primes of ``f`` and a back link.  Above 2**16 cells it raises
-    :class:`~nbrw.walks.CapabilityError` (a ``ValueError``) before building
+    :class:`~nbrw.operators.CapabilityError` (a ``ValueError``) before building
     the table.
     """
     require_nb_irreducible(g)
@@ -560,8 +550,6 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     paths = g.suspended_paths
     cells = (g.dart_count + 1) * len(paths.start)
     if cells > _MAX_MEAN_CELLS:
-        from .walks import CapabilityError
-
         raise CapabilityError(f"a maximum-mean cycle search needs {cells} table cells, more than {_MAX_MEAN_CELLS}")
     from functools import cmp_to_key
 

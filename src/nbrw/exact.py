@@ -157,13 +157,3 @@ def exponent_sign(primes, exponents) -> int:
         if abs(total) * 10 ** (digits - 1) > sum(abs(e) * ln for (_, e), ln in zip(terms, logs)):
             return 1 if total > 0 else -1
         digits *= 2
-
-
-def geometric_mean(values: list[ExactValue]) -> ExactValue:
-    """Exact geometric mean of a non-empty list of exact values."""
-    if not values:
-        raise ValueError("geometric mean of empty list")
-    product = ExactValue()
-    for v in values:
-        product = product * v
-    return product ** Fraction(1, len(values))

@@ -42,16 +42,6 @@ class IrreducibilityVerdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class Dart:
-    """One orientation of an edge: runs from ``tail`` to ``head``."""
-
-    index: int
-    tail: int
-    head: int
-    reverse_index: int
-
-
-@dataclass(frozen=True)
 class SuspendedPaths:
     """The suspended paths as arrays: ``order`` lists the darts path by
     path, each along the walk; path i occupies ``order[start[i]:start[i] +
@@ -102,16 +92,6 @@ class Graph:
         self._out_darts_flat = np.argsort(self.dart_tail, kind="stable").astype(np.int64)
         self._out_darts_offsets = np.zeros(vertex_count + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self._out_darts_offsets[1:])
-
-    def dart(self, index: int) -> Dart:
-        if not (0 <= index < self.dart_count):
-            raise GraphError(f"dart index {index} out of range")
-        return Dart(
-            index=index,
-            tail=int(self.dart_tail[index]),
-            head=int(self.dart_head[index]),
-            reverse_index=int(self.dart_reverse[index]),
-        )
 
     def out_darts(self, vertex: int) -> list[int]:
         """Indices of darts whose tail is ``vertex``, ascending."""
@@ -213,17 +193,6 @@ def build_graph(vertex_count: int, edge_list: list[tuple[int, int] | tuple[int, 
     """
     edges = [(*item, NORMAL) if len(item) == 2 else tuple(item) for item in edge_list]
     return Graph(vertex_count, edges)  # type: ignore[arg-type]
-
-
-def dart_transitions(g: Graph, dart_index: int) -> list[int]:
-    """Darts f with tail(f) = head(e) and f != reverse(e), ascending by index.
-
-    The exclusion bars only the exact reverse dart, so a parallel copy of
-    the reversed edge is a legal continuation.  A half-loop dart is its own
-    reverse and is therefore excluded from its own continuations.
-    """
-    reverse = int(g.dart_reverse[dart_index])
-    return [f for f in g.out_darts(int(g.dart_head[dart_index])) if f != reverse]
 
 
 def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:

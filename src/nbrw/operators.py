@@ -9,30 +9,29 @@ matrix ``P`` (w = 1/outdeg), reweighted variants ``P[e, f] * beta(e)``
 
 ``B`` factors through the vertices, ``B = T S - J`` (head incidence times
 out-incidence, minus the reversal): :class:`FactoredNbOperator` applies it
-in O(darts) time and memory, and only its ``matrix`` property forms the
-transition arcs.  :func:`nb_perron` certifies rho on ``B`` from a start
-solved on ``B`` reduced to its branching darts.
+in O(darts) time and memory, and nothing here forms the ``sum deg (deg -
+1)`` transition arcs.  :func:`nb_perron` certifies rho on ``B`` from a
+start solved on ``B`` reduced to its branching darts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import Graph, IrreducibilityVerdict
 
-# scipy.sparse takes most of the time of ``import nbrw``, and only
-# ``FactoredNbOperator.matrix`` and perron on a matrix need it, so they
-# import it where they use it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 
 class PreconditionError(ValueError):
     """A graph does not satisfy an operation's stated precondition."""
+
+
+class CapabilityError(ValueError):
+    """An exact computation would exceed one of its stated limits: the
+    exact bit law handles at most two distinct branching degrees, and the
+    maximum-mean cycle search at most 2**16 table cells."""
 
 
 class PowerIterationError(RuntimeError):
@@ -101,23 +100,6 @@ class FactoredNbOperator:
     def dimension(self) -> int:
         return len(self.tail)
 
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """The operator as a CSR matrix, one entry per transition arc: the
-        one place that forms the ``sum deg (deg - 1)`` arcs."""
-        import scipy.sparse as sp
-
-        n, v, b, c = self.shape[0], self.vertex_count, self.branching, self.chain
-        ones = np.ones(n)
-        into = sp.csr_matrix((ones[b], (b, self.head)), shape=(n, v))
-        out = sp.csr_matrix((ones, (self.tail, np.arange(n))), shape=(v, n))
-        # T S - J on the branching rows (the sum drops each cancelled (e, rev e)); a chain row's one arc
-        jumps = (np.append(-ones[b], ones[c]), (np.append(b, c), np.append(self.reverse, self.successor)))
-        m = into @ out + sp.csr_matrix(jumps, shape=(n, n))
-        if self.weight is not None:
-            m.data *= np.repeat(self.weight, np.diff(m.indptr))
-        return m
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.min() < 0:
             return self @ np.maximum(x, 0.0) - self @ np.maximum(-x, 0.0)
@@ -148,11 +130,6 @@ def factored_nb_operator(g: Graph) -> FactoredNbOperator:
     )
 
 
-def build_nb_matrix(g: Graph) -> FactoredNbOperator:
-    """The adjacency operator ``B``, as :func:`factored_nb_operator` builds it."""
-    return factored_nb_operator(g)
-
-
 def build_transition_matrix(g: Graph) -> FactoredNbOperator:
     """Row-stochastic walk transition matrix ``P``: B with rows scaled by 1/outdeg."""
     require_nb_irreducible(g)
@@ -177,13 +154,6 @@ def interpolation_matrix(g: Graph, t: float) -> FactoredNbOperator:
     return replace(factored_nb_operator(g), weight=g.out_degree_vector() ** (t - 1.0))
 
 
-def stationary_distribution(g: Graph) -> np.ndarray:
-    """Uniform distribution over darts, the walk's stationary law."""
-    if g.dart_count == 0:
-        raise PreconditionError("graph has no darts")
-    return np.full(g.dart_count, 1.0 / g.dart_count)
-
-
 @dataclass(frozen=True)
 class PerronResult:
     """Perron value with its Collatz-Wielandt bracket ``low <= value <= high``,
@@ -199,16 +169,6 @@ class PerronResult:
     matvecs: int
 
 
-def _as_matrix(op):
-    if isinstance(op, FactoredNbOperator):
-        return op
-    import scipy.sparse as sp
-
-    if sp.issparse(op):
-        return op.tocsr()
-    return sp.csr_matrix(np.asarray(op, dtype=np.float64))
-
-
 def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) -> PerronResult:
     """Largest eigenvalue of a non-negative irreducible operator.
 
@@ -221,7 +181,8 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
 
     Parameters
     ----------
-    op : FactoredNbOperator (from any builder here), scipy sparse matrix, or 2d array
+    op : any square operator with ``shape`` and ``@``: a FactoredNbOperator
+        from a builder here, or a dense or sparse matrix
     rel_tol : certified relative width of the returned bracket
     max_iter : iteration cap; defaults to ``100 n log n + 1000``
     start : positive initial vector; defaults to the constant vector
@@ -234,9 +195,8 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
         never grows in exact arithmetic, so that is rounding noise above
         ``rel_tol``); the exception carries the last midpoint estimate.
     """
-    m = _as_matrix(op)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
+    n = op.shape[0]
+    if op.shape[0] != op.shape[1]:
         raise ValueError("operator must be square")
     if n == 0:
         raise ValueError("operator is empty")
@@ -249,7 +209,7 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
     low = high = 0.0
     narrowest, narrowed_at = math.inf, 0
     for iteration in range(1, max_iter + 1):
-        w = m @ v
+        w = op @ v
         ratios = w / v
         low = float(ratios.min())
         high = float(ratios.max())
@@ -271,10 +231,6 @@ def perron(op, rel_tol: float = 1e-12, max_iter: int | None = None, start=None) 
         last_estimate=(low + high) / 2.0,
         iterations=max_iter,
     )
-
-
-def perron_value(op, rel_tol: float = 1e-12, max_iter: int | None = None) -> float:
-    return perron(op, rel_tol=rel_tol, max_iter=max_iter).value
 
 
 def _path_quotient_start(g: Graph, rel_tol: float) -> tuple[np.ndarray, int]:
@@ -359,49 +315,3 @@ def cover_growth_rate(g: Graph, rel_tol: float = 1e-12) -> float:
     (:func:`nb_perron`); requires an NB-irreducible graph.
     """
     return nb_perron(g, rel_tol=rel_tol).value
-
-
-def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:
-    """Exact number of non-backtracking walks of ``length`` steps from a dart.
-
-    Big-integer vector iteration of the factored operator,
-    ``x[e] <- outsum[head e] - x[reverse e]`` starting from the all-ones
-    vector, so the result never overflows.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if not (0 <= dart_index < g.dart_count):
-        raise ValueError("dart index out of range")
-    leaving = [g.out_darts(v) for v in range(g.vertex_count)]
-    head, reverse = g.dart_head.tolist(), g.dart_reverse.tolist()
-    x = [1] * g.dart_count
-    for _ in range(length):
-        outsum = [sum(map(x.__getitem__, darts)) for darts in leaving]
-        x = list(map(int.__sub__, map(outsum.__getitem__, head), map(x.__getitem__, reverse)))
-    return x[dart_index]
-
-
-def enumerate_nb_walks(g: Graph, dart_index: int, length: int) -> int:
-    """Count the same walks by explicit recursive enumeration.
-
-    Independent of :func:`count_nb_walks` (no shared iteration); intended
-    as a brute-force cross-check for small lengths, so it refuses
-    length > 12.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length > 12:
-        raise ValueError("enumeration is a desk-scale oracle; length must be <= 12")
-
-    def walk(e: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        head = int(g.dart_head[e])
-        rev = int(g.dart_reverse[e])
-        for f in g.out_darts(head):
-            if f != rev:
-                total += walk(f, remaining - 1)
-        return total
-
-    return walk(dart_index, length)

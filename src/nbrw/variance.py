@@ -17,9 +17,9 @@ depend on the constant that the pin fixes.  On a graph the equation is
 reduced to the branching vertices, as Bass reduces the Hashimoto operator
 (see :func:`asymptotic_variance`): one unknown per vertex of degree >= 3
 and one nonzero per suspended path.  numpy solves that system dense up to
-a cutoff on its size and scipy's sparse LU above it.  scipy is imported
-only inside the functions that use it.  The truncated sum doubles as an
-independent oracle.
+a cutoff on its size and scipy's sparse LU above it, the one use of scipy
+in the package, imported where it runs.  The truncated sum, on the
+factored transition operator, doubles as an independent oracle.
 """
 
 from __future__ import annotations
@@ -88,30 +88,6 @@ def _pinned_solve(rows, cols, data, rhs) -> np.ndarray:
     from scipy.sparse.linalg import splu
 
     return splu(sp.csc_matrix((data, (rows, cols)), shape=(n, n))).solve(b)
-
-
-def chain_asymptotic_variance(transition, stationary, values) -> float:
-    """Asymptotic normalized variance of a centered additive functional.
-
-    Solves the Poisson equation (I - P) x = f, pinned at x_0 = 0, and
-    returns -f' N f + 2 f' N x.  ``transition`` may be dense or
-    ``scipy.sparse``.  ``values`` must have stationary mean zero (up to
-    rounding), which makes the pinned equation redundant; the pinned
-    matrix is nonsingular for any irreducible chain, periodic ones
-    included.
-    """
-    import scipy.sparse as sp
-
-    p = sp.csr_matrix(transition, dtype=np.float64)
-    pi = np.asarray(stationary, dtype=np.float64)
-    f = np.asarray(values, dtype=np.float64)
-    n = p.shape[0]
-    if p.shape != (n, n) or pi.shape != (n,) or f.shape != (n,):
-        raise ValueError("dimension mismatch between transition, stationary, and values")
-    a = (sp.identity(n, format="csr") - p).tocoo()
-    x = _pinned_solve(a.row, a.col, a.data, f)
-    weighted = pi * f
-    return float(-weighted @ f + 2.0 * (weighted @ x))
 
 
 def asymptotic_variance(g: Graph) -> float:

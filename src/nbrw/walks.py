@@ -25,54 +25,13 @@ import numpy as np
 
 from . import _rng
 from .graph import Graph
-from .operators import PreconditionError, require_nb_irreducible
-
-
-class CapabilityError(ValueError):
-    """The exact distribution is limited to two distinct branching degrees."""
+from .operators import CapabilityError, PreconditionError, require_nb_irreducible
 
 
 def tracked_degrees(g: Graph) -> tuple[int, ...]:
     """Distinct branching degrees (outdeg > 1), ascending."""
     # np.unique without return_* flags would import numpy.ma
     return tuple(d for d in np.flatnonzero(np.bincount(g.out_degree_vector())).tolist() if d > 1)
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    """One sampled walk: darts e_0..e_l and the bits consumed by e_0..e_{l-1}."""
-
-    darts: tuple[int, ...]
-    bits: float
-
-
-def sample_walk(g: Graph, length: int, seed: int, stream: int = 0) -> WalkSample:
-    """Sample one stationary walk of ``length`` steps.
-
-    The initial dart is uniform; every step picks uniformly among the
-    non-backtracking continuations.  ``(seed, stream)`` fully determines
-    the walk; batch sample number s of the same seed is ``stream=s``.
-    """
-    require_nb_irreducible(g)
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    out_flat, dart_table, _, _ = _walk_tables(g)
-    out_flat, (first, skip, outdeg, _, _) = memoryview(out_flat), map(memoryview, dart_table)
-    key = _rng.stream_key(seed, stream)
-    e = _rng.draw(key, 0) % g.dart_count
-    darts = [e]
-    bits = 0.0
-    for i in range(1, length + 1):
-        d = outdeg[e]
-        if d > 1:
-            bits += math.log2(d)
-            j = _rng.draw(key, i) % d
-        else:
-            j = 0
-        k = first[e] + j
-        e = out_flat[k + (k >= skip[e])]
-        darts.append(e)
-    return WalkSample(darts=tuple(darts), bits=bits)
 
 
 @dataclass(frozen=True)
@@ -241,15 +200,6 @@ def run_walks(
     return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
 
 
-def estimate_bit_stats(
-    g: Graph, length: int, samples: int, seed: int, workers: int = 1, engine: str | None = None
-) -> BitStats:
-    """Unbiased mean/variance of total bit consumption over sampled walks."""
-    if samples < 2:
-        raise PreconditionError("variance estimation needs samples >= 2")
-    return run_walks(g, length, samples, seed, workers=workers, engine=engine).bit_stats()
-
-
 # --- exact distribution -------------------------------------------------------
 
 
@@ -289,15 +239,6 @@ class ExactBitDistribution:
                 second = self._expectation(lambda c: c[i] * c[j])
                 var += logs[i] * logs[j] * float(second - first[i] * first[j])
         return var
-
-    def total_variation(self, histogram: dict[tuple[int, ...], int], samples: int) -> float:
-        """Exact TV distance to an empirical count-vector histogram."""
-        keys = set(self.probabilities) | set(histogram)
-        tv = Fraction(0)
-        for key in keys:
-            empirical = Fraction(histogram.get(key, 0), samples)
-            tv += abs(empirical - self.probabilities.get(key, Fraction(0)))
-        return float(tv / 2)
 
 
 def _sum_of_maps(maps) -> dict[int, int]:

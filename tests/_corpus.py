@@ -17,11 +17,12 @@ from nbrw import (
     IrreducibilityVerdict,
     build_graph,
     is_nb_irreducible,
-    sample_walk,
     suspended_path_decomposition,
     tracked_degrees,
 )
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
+
+from _reference_walks import sample_walk
 
 
 def pairing_graph(rng: random.Random, degrees: list[int], half_loop_prob: float = 0.0) -> Graph:

@@ -6,6 +6,9 @@ Kept verbatim (apart from imports, an uncached ``_lambda`` and successor
 lists read from :func:`dart_transitions`) as the oracle that
 ``test_criteria_reference.py`` compares the integer-exponent criteria
 against: same verdicts, same path and cycle witnesses, same potentials.
+:func:`potential` reads the integer potential of a package verdict back
+as that map; it was the package's ``ConditionVerdict.potential``
+property, kept verbatim as a function of the verdict.
 """
 
 from __future__ import annotations
@@ -15,12 +18,26 @@ from fractions import Fraction
 from typing import Optional
 
 from nbrw.exact import ExactValue
-from nbrw.graph import Graph, dart_transitions
+from nbrw.graph import Graph
 from nbrw.operators import PreconditionError, require_nb_irreducible
+
+from _reference_walks import dart_transitions
 
 
 class ConsistencyError(RuntimeError):
     """The two exact checkers disagreed; indicates an implementation bug."""
+
+
+def potential(verdict) -> Optional[dict[int, ExactValue]]:
+    """The potential certificate of a :func:`nbrw.check_cycle_condition`
+    verdict as a dart -> ``ExactValue`` map; None when it carries none."""
+    if verdict.phi is None:
+        return None
+    scale = verdict.phi.scale
+    return {
+        d: ExactValue({p: Fraction(x, scale) for p, x in zip(verdict.phi.primes, row)})
+        for d, row in enumerate(verdict.phi.rows.tolist())
+    }
 
 
 def average_growth_rate(g: Graph) -> tuple[ExactValue, float]:

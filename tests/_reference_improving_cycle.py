@@ -6,7 +6,9 @@ exact fallback.
 Kept verbatim (apart from imports) as the oracle that
 ``test_improving_cycle_reference.py`` compares ``find_improving_cycle``
 against: the same dart list where this search ends by peeling, and the
-same exact mean where it falls back to the maximum-mean cycle.
+same exact mean where it falls back to the maximum-mean cycle.  The exact
+:func:`geometric_mean` that the means are taken with moved here verbatim
+from ``nbrw.exact``, which no longer needs it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,19 @@ from typing import Optional
 import numpy as np
 
 from nbrw.conditions import ConsistencyError, suspended_path_decomposition
-from nbrw.exact import ExactValue, geometric_mean
+from nbrw.exact import ExactValue
 from nbrw.graph import Graph, build_graph
 from nbrw.operators import require_nb_irreducible
+
+
+def geometric_mean(values: list[ExactValue]) -> ExactValue:
+    """Exact geometric mean of a non-empty list of exact values."""
+    if not values:
+        raise ValueError("geometric mean of empty list")
+    product = ExactValue()
+    for v in values:
+        product = product * v
+    return product ** Fraction(1, len(values))
 
 
 def _induced_subgraph(g: Graph, edge_ids: set[int]) -> tuple[Graph, dict[int, int]]:

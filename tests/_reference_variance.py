@@ -1,15 +1,21 @@
-"""Two variance evaluations as they were before the package stopped
-forming per-arc matrices, kept as the oracles that ``test_variance.py``
-compares against:
+"""Per-arc matrices and the variance evaluations that ran on them before
+the package stopped forming them, kept as the oracles that the tests
+compare against:
 
+* :func:`operator_csr`, any builder's operator as a CSR matrix with one
+  entry per transition arc (``sum deg (deg - 1)`` stored arcs);
 * the asymptotic variance as it was solved before the reduction to the
   branching vertices: one sparse vertex-split Poisson system of size
   D + V in the unknowns x (darts) and y (vertices), by scipy's sparse LU;
-* the truncated variance, iterated on the per-arc transition matrix
-  (``sum deg (deg - 1)`` stored arcs), which the factored operator replaced.
+* :func:`chain_asymptotic_variance`, the same limit for any finite chain
+  given as a dense or sparse transition matrix, on the same sparse LU;
+* the truncated variance, iterated on the per-arc transition matrix,
+  which the factored operator replaced.
 
-Kept verbatim, apart from imports and from the per-arc matrix builders,
-which return their CSR matrix instead of wrapping it.
+Kept verbatim, apart from imports, from the per-arc matrix builders,
+which return their CSR matrix instead of wrapping it, and from
+``chain_asymptotic_variance``, which passes ``I - P`` to this module's
+``_pinned_solve``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from nbrw.graph import Graph
-from nbrw.operators import require_nb_irreducible
+from nbrw.operators import FactoredNbOperator, require_nb_irreducible
 from nbrw.variance import centered_bit_values
 
 if TYPE_CHECKING:
@@ -37,6 +43,15 @@ def _adjacency_csr(g: Graph) -> sp.csr_matrix:
     out = sp.csr_matrix((ones, (g.dart_tail, darts)), shape=(v, n))
     reverse = sp.csr_matrix((ones, (darts, g.dart_reverse)), shape=(n, n))
     return head @ out - reverse
+
+
+def operator_csr(g: Graph, op: FactoredNbOperator) -> sp.csr_matrix:
+    """``op``, built on ``g``, as :func:`_adjacency_csr` with its rows
+    scaled by ``op.weight``."""
+    m = _adjacency_csr(g)
+    if op.weight is not None:
+        m.data *= np.repeat(op.weight, np.diff(m.indptr))
+    return m
 
 
 def build_transition_matrix(g: Graph) -> sp.csr_matrix:
@@ -84,6 +99,29 @@ def _pinned_solve(a, rhs) -> np.ndarray:
     b = np.array(rhs, dtype=np.float64)
     b[0] = 0.0
     return splu(sp.csc_matrix((data, (rows, cols)), shape=a.shape)).solve(b)
+
+
+def chain_asymptotic_variance(transition, stationary, values) -> float:
+    """Asymptotic normalized variance of a centered additive functional.
+
+    Solves the Poisson equation (I - P) x = f, pinned at x_0 = 0, and
+    returns -f' N f + 2 f' N x.  ``transition`` may be dense or
+    ``scipy.sparse``.  ``values`` must have stationary mean zero (up to
+    rounding), which makes the pinned equation redundant; the pinned
+    matrix is nonsingular for any irreducible chain, periodic ones
+    included.
+    """
+    import scipy.sparse as sp
+
+    p = sp.csr_matrix(transition, dtype=np.float64)
+    pi = np.asarray(stationary, dtype=np.float64)
+    f = np.asarray(values, dtype=np.float64)
+    n = p.shape[0]
+    if p.shape != (n, n) or pi.shape != (n,) or f.shape != (n,):
+        raise ValueError("dimension mismatch between transition, stationary, and values")
+    x = _pinned_solve(sp.identity(n, format="csr") - p, f)
+    weighted = pi * f
+    return float(-weighted @ f + 2.0 * (weighted @ x))
 
 
 def asymptotic_variance(g: Graph) -> float:

@@ -15,22 +15,17 @@ from nbrw import (
     ExactValue,
     asymptotic_variance,
     average_growth_rate,
-    build_nb_matrix,
-    chain_asymptotic_variance,
     check_cycle_condition,
     check_suspended_path_condition,
     complete_bipartite_graph,
     complete_graph,
-    count_nb_walks,
     cover_growth_rate,
-    enumerate_nb_walks,
     equal_growth_wheel,
-    estimate_bit_stats,
     exact_bit_distribution,
     growth_verdict,
     interpolation_matrix,
     k4_minus_edge,
-    perron_value,
+    perron,
     run_walks,
     subdivide,
     truncated_variance,
@@ -38,6 +33,8 @@ from nbrw import (
 )
 
 from _corpus import random_low_growth_graph, random_nb_irreducible, random_regular
+from _reference_variance import chain_asymptotic_variance
+from _reference_walks import count_nb_walks, enumerate_nb_walks, total_variation
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -95,7 +92,7 @@ def test_acceptance_2_asymptotic_variance():
 def test_acceptance_3_monte_carlo():
     start = time.perf_counter()
     g = k4_minus_edge()
-    stats = estimate_bit_stats(g, 1000, 100_000, seed=1, workers=4)
+    stats = run_walks(g, 1000, 100_000, seed=1, workers=4).bit_stats()
     elapsed = time.perf_counter() - start
     mean_err = abs(stats.mean_bits_per_step - 0.6)
     var_per_step = stats.variance_of_bits / 1000
@@ -121,7 +118,7 @@ def test_acceptance_4_exact_distribution():
         details.append(f"l={length}: mean exact={exact_ok}, var gap={var_gap:.1e}")
     dist = exact_bit_distribution(g, 1000)
     batch = run_walks(g, 1000, 100_000, seed=2, workers=4)
-    tv = dist.total_variation(batch.histogram(), batch.sample_count)
+    tv = total_variation(dist, batch.histogram(), batch.sample_count)
     ok = ok and tv <= 0.02
     report(4, ok, "; ".join(details) + f"; TV={tv:.4f}")
 
@@ -221,13 +218,13 @@ def test_acceptance_9_log_convexity():
     ok = True
     middle_gap = None
     for t in [x / 10 for x in range(1, 10)]:
-        value = perron_value(interpolation_matrix(k4e, t))
+        value = perron(interpolation_matrix(k4e, t)).value
         ok = ok and (value >= lam**t - 1e-9) and (value <= rho**t + 1e-9)
         if t == 0.5:
             middle_gap = rho**0.5 - value
     ok = ok and middle_gap > 1e-4
     for t in [x / 10 for x in range(1, 10)]:
-        ok = ok and abs(perron_value(interpolation_matrix(k4, t)) - 2**t) <= 1e-9
+        ok = ok and abs(perron(interpolation_matrix(k4, t)).value - 2**t) <= 1e-9
     report(9, ok, f"bounds hold on K4-e (middle gap {middle_gap:.2e}); equality on K4")
 
 

@@ -11,6 +11,8 @@ from nbrw import check_cycle_condition, parse_graph_text
 from nbrw.cli import main
 from nbrw.variance import _DENSE_UNKNOWNS
 
+from _reference_criteria import potential
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -166,8 +168,8 @@ def test_analyze_json_equal_validates(tmp_path, capsys):
     witness = report["cycle_condition"]["witness"]
     assert witness["type"] == "potential"
     # the potential read back equals the library's ExactValue map, built from Fractions
-    potential = check_cycle_condition(parse_graph_text(path.read_text())).potential
-    assert witness["phi"] == {str(d): value.as_pairs() for d, value in potential.items()}
+    phi = potential(check_cycle_condition(parse_graph_text(path.read_text())))
+    assert witness["phi"] == {str(d): value.as_pairs() for d, value in phi.items()}
 
 
 def test_analyze_variance_exactly_zero_on_equal_graph(tmp_path, capsys):

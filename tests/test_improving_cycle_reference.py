@@ -14,7 +14,6 @@ from nbrw import (
     conditions,
     equal_growth_wheel,
     find_improving_cycle,
-    geometric_mean,
     path_growth_function,
     wheel_graph,
 )
@@ -58,7 +57,7 @@ def test_improving_cycle_matches_reference(bound, monkeypatch):
         cycle = find_improving_cycle(g, f)
         if fell_back:
             fallbacks += 1
-            assert geometric_mean([f[d] for d in cycle]) == geometric_mean([f[d] for d in expected]), name
+            assert reference.geometric_mean([f[d] for d in cycle]) == reference.geometric_mean([f[d] for d in expected]), name
         else:
             assert cycle == expected, name
     assert 0 < fallbacks < len(cases())  # both endings are compared

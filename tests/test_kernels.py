@@ -7,13 +7,14 @@ import threading
 import numpy as np
 import pytest
 
-from nbrw import build_graph, k4_minus_edge, run_walks, sample_walk, walks, wheel_graph
+from nbrw import build_graph, k4_minus_edge, run_walks, walks, wheel_graph
 from nbrw import _kernels as kernels
 from nbrw._kernels import available_engines, get_kernel
 from nbrw._rng import MASK64, draw, mix64, stream_key
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
+from _reference_walks import sample_walk
 
 
 def test_mix64_reference_values():

@@ -8,14 +8,11 @@ from nbrw import (
     PowerIterationError,
     PreconditionError,
     build_graph,
-    build_nb_matrix,
     build_transition_matrix,
     build_weighted_matrix,
     complete_bipartite_graph,
     complete_graph,
-    count_nb_walks,
     cover_growth_rate,
-    enumerate_nb_walks,
     average_growth_rate,
     check_cycle_condition,
     equal_growth_wheel,
@@ -24,31 +21,31 @@ from nbrw import (
     nb_perron,
     operators,
     perron,
-    perron_value,
-    stationary_distribution,
     wheel_graph,
 )
 
 import _reference_variance as reference
 from _corpus import graphs_with_loops, random_nb_irreducible, random_regular
+from _reference_walks import count_nb_walks, enumerate_nb_walks
 
 
 def test_b_matrix_k4e(k4e):
-    b = build_nb_matrix(k4e)
+    b = factored_nb_operator(k4e)
     assert b.dimension == 10
-    assert b.matrix.nnz == 16  # six darts with two continuations, four with one
-    assert set(b.matrix.data) == {1.0}
+    m = reference.operator_csr(k4e, b)
+    assert m.nnz == 16  # six darts with two continuations, four with one
+    assert set(m.data) == {1.0}
 
 
 def test_b_matrix_k4_regular(k4):
-    b = build_nb_matrix(k4)
-    row_sums = np.asarray(b.matrix.sum(axis=1)).ravel()
+    b = reference.operator_csr(k4, factored_nb_operator(k4))
+    row_sums = np.asarray(b.sum(axis=1)).ravel()
     assert np.all(row_sums == 2)
 
 
 def test_b_matrix_triangle_two_orbits():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    b = build_nb_matrix(g).matrix
+    b = reference.operator_csr(g, factored_nb_operator(g))
     # permutation matrix: every row and column has exactly one entry
     assert b.nnz == 6
     assert np.all(np.asarray(b.sum(axis=1)).ravel() == 1)
@@ -66,10 +63,10 @@ def test_transition_matrix_stochastic_on_corpus():
     rng = random.Random(303)
     for _ in range(100):
         g = random_nb_irreducible(rng)
-        p = build_transition_matrix(g).matrix
+        p = reference.operator_csr(g, build_transition_matrix(g))
         row_sums = np.asarray(p.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums - 1.0)) <= 1e-12
-        nu = stationary_distribution(g)
+        nu = np.full(g.dart_count, 1 / g.dart_count)
         assert np.max(np.abs(nu @ p - nu)) <= 1e-12
 
 
@@ -78,27 +75,31 @@ def test_transition_matrix_requires_irreducible():
     with pytest.raises(PreconditionError):
         build_transition_matrix(c5)
     # B itself is fine on a cycle (min degree two)
-    assert build_nb_matrix(c5).matrix.nnz == 10
+    assert reference.operator_csr(c5, factored_nb_operator(c5)).nnz == 10
 
 
 def test_weighted_matrix_special_cases(k4e):
     n = k4e.dart_count
-    p = build_transition_matrix(k4e).matrix
-    b = build_nb_matrix(k4e).matrix
+
+    def csr(op):
+        return reference.operator_csr(k4e, op)
+
+    p = csr(build_transition_matrix(k4e))
+    b = csr(factored_nb_operator(k4e))
     outdeg = k4e.out_degree_vector().astype(float)
 
-    ones = build_weighted_matrix(k4e, np.ones(n)).matrix
+    ones = csr(build_weighted_matrix(k4e, np.ones(n)))
     assert np.max(np.abs((ones - p).toarray())) == 0
 
-    as_b = build_weighted_matrix(k4e, outdeg).matrix
+    as_b = csr(build_weighted_matrix(k4e, outdeg))
     assert np.max(np.abs((as_b - b).toarray())) <= 1e-15
 
-    m_half = interpolation_matrix(k4e, 0.5).matrix
+    m_half = csr(interpolation_matrix(k4e, 0.5))
     expected = np.power(p.toarray(), 0.5) * np.power(b.toarray(), 0.5)
     assert np.max(np.abs(m_half.toarray() - expected)) <= 1e-15
 
-    m0 = interpolation_matrix(k4e, 0.0).matrix
-    m1 = interpolation_matrix(k4e, 1.0).matrix
+    m0 = csr(interpolation_matrix(k4e, 0.0))
+    m1 = csr(interpolation_matrix(k4e, 1.0))
     assert np.max(np.abs((m0 - p).toarray())) <= 1e-15
     assert np.max(np.abs((m1 - b).toarray())) <= 1e-15
 
@@ -112,26 +113,26 @@ def test_weighted_matrix_rejects_bad_beta(k4e):
 
 def test_perron_on_reduced_3x3():
     m = np.array([[0, 0, 1], [2, 0, 0], [1, 1, 0]], dtype=float)
-    assert abs(perron_value(m) - 1.5214) <= 1e-4
+    assert abs(perron(m).value - 1.5214) <= 1e-4
 
 
 def test_perron_identity():
-    assert abs(perron_value(np.eye(5)) - 1.0) <= 1e-12
+    assert abs(perron(np.eye(5)).value - 1.0) <= 1e-12
 
 
 def test_perron_k4(k4):
-    assert abs(perron_value(build_nb_matrix(k4)) - 2.0) <= 1e-12
+    assert abs(perron(factored_nb_operator(k4)).value - 2.0) <= 1e-12
 
 
 def test_perron_reports_iterations(k4e):
-    result = perron(build_nb_matrix(k4e))
+    result = perron(factored_nb_operator(k4e))
     assert result.iterations >= 1
     assert abs(result.value - 1.5213797068) <= 1e-9
 
 
 def test_perron_non_convergence_carries_estimate(k4e):
     with pytest.raises(PowerIterationError) as err:
-        perron(build_nb_matrix(k4e), rel_tol=1e-12, max_iter=2)
+        perron(factored_nb_operator(k4e), rel_tol=1e-12, max_iter=2)
     assert err.value.iterations == 2
     assert 1.0 < err.value.last_estimate < 3.0
 
@@ -195,15 +196,15 @@ def test_log_convexity_bounds_k4e(k4e):
     _, lam = average_growth_rate(k4e)
     rho = cover_growth_rate(k4e)
     for t in [x / 10 for x in range(1, 10)]:
-        middle = perron_value(interpolation_matrix(k4e, t))
+        middle = perron(interpolation_matrix(k4e, t)).value
         assert middle >= lam**t - 1e-9
         assert middle <= rho**t + 1e-9
-    assert perron_value(interpolation_matrix(k4e, 0.5)) < math.sqrt(rho) - 1e-4
+    assert perron(interpolation_matrix(k4e, 0.5)).value < math.sqrt(rho) - 1e-4
 
 
 def test_log_convexity_equality_on_regular(k4):
     for t in [x / 10 for x in range(1, 10)]:
-        assert abs(perron_value(interpolation_matrix(k4, t)) - 2**t) <= 1e-9
+        assert abs(perron(interpolation_matrix(k4, t)).value - 2**t) <= 1e-9
 
 
 def test_log_convexity_equality_on_biregular():
@@ -212,7 +213,7 @@ def test_log_convexity_equality_on_biregular():
     rho = cover_growth_rate(g)
     assert abs(rho - lam) <= 1e-10
     for t in (0.25, 0.5, 0.75):
-        assert abs(perron_value(interpolation_matrix(g, t)) - lam**t) <= 1e-9
+        assert abs(perron(interpolation_matrix(g, t)).value - lam**t) <= 1e-9
 
 
 def test_weighted_perron_jensen_lower_bound():
@@ -220,7 +221,7 @@ def test_weighted_perron_jensen_lower_bound():
     for _ in range(20):
         g = random_nb_irreducible(rng)
         beta = np.array([0.1 + 1.9 * rng.random() for _ in range(g.dart_count)])
-        value = perron_value(build_weighted_matrix(g, beta), rel_tol=1e-10)
+        value = perron(build_weighted_matrix(g, beta), rel_tol=1e-10).value
         geo = float(np.exp(np.mean(np.log(beta))))
         assert value >= geo - 1e-9
 
@@ -232,22 +233,20 @@ def test_factored_operator_matches_matrix_on_corpus():
         np_rng = np.random.default_rng(rng.randrange(2**32))
         # a dynamic range of 1e60 makes outsum - x[rev] cancel wherever x[rev] dominates
         x = 10.0 ** np_rng.uniform(-30, 30, g.dart_count)
-        expected = build_nb_matrix(g).matrix @ x
+        expected = reference._adjacency_csr(g) @ x
         assert np.allclose(factored_nb_operator(g) @ x, expected, rtol=1e-14, atol=0)
 
 
 def test_factored_operators_match_matrix_on_signed_vectors():
     # two darts leaving one vertex can both outweigh the rest once x has
-    # signs, which the cancellation repair of the sums must not mistake;
-    # .matrix itself is checked against the per-arc T S - J of the oracle
+    # signs, which the cancellation repair of the sums must not mistake
     rng = random.Random(818)
     graphs = [random_nb_irreducible(rng, half_loop_prob=0.3) for _ in range(100)]
     graphs += [wheel_graph(5, 3, 2), equal_growth_wheel(8)]
     for g in graphs:
-        assert (factored_nb_operator(g).matrix != reference._adjacency_csr(g)).nnz == 0, g
         x = np.random.default_rng(rng.randrange(2**32)).standard_normal(g.dart_count)
         for op in (factored_nb_operator(g), build_transition_matrix(g), interpolation_matrix(g, 0.3)):
-            expected = op.matrix @ x
+            expected = reference.operator_csr(g, op) @ x
             assert np.abs(op @ x - expected).max() <= 1e-13 * np.abs(expected).max(), g
 
 
@@ -263,7 +262,29 @@ def test_factored_operator_resolves_dominated_vertices():
         edges.append((prev, 0))
     g = build_graph(nv, edges)
     result = perron(factored_nb_operator(g), rel_tol=1e-13)
-    assert abs(result.value - perron_value(build_nb_matrix(g).matrix, rel_tol=1e-13)) <= 1e-12
+    assert abs(result.value - perron(reference._adjacency_csr(g), rel_tol=1e-13).value) <= 1e-12
+
+
+def test_perron_agrees_on_factored_sparse_and_dense_forms():
+    # perron needs only shape and @, so a scipy matrix and a numpy array
+    # run the same iteration as the factored operator
+    rng = random.Random(919)
+    graphs = [random_nb_irreducible(rng, half_loop_prob=0.3) for _ in range(40)]
+    graphs += graphs_with_loops(rng) + [wheel_graph(5, 3, 2)]
+    for g in graphs:
+        csr = reference._adjacency_csr(g)
+        results = [perron(op) for op in (factored_nb_operator(g), csr, csr.toarray())]
+        for result in results:
+            assert result.low <= result.value <= result.high
+        assert max(r.low for r in results) <= min(r.high for r in results) + 1e-12, g
+        assert max(r.value for r in results) - min(r.value for r in results) <= 1e-12, g
+
+
+def test_perron_rejects_non_square_and_empty_operators():
+    with pytest.raises(ValueError, match="operator must be square"):
+        perron(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="operator is empty"):
+        perron(np.zeros((0, 0)))
 
 
 def test_perron_bracket_contains_value(k4e):
@@ -282,7 +303,7 @@ def test_potential_start_certifies_in_one_matvec():
 
 def test_perron_rejects_non_positive_start(k4e):
     with pytest.raises(ValueError):
-        perron(build_nb_matrix(k4e), start=np.zeros(k4e.dart_count))
+        perron(factored_nb_operator(k4e), start=np.zeros(k4e.dart_count))
 
 
 def test_perron_gives_up_when_the_bracket_stops_narrowing():
@@ -290,10 +311,10 @@ def test_perron_gives_up_when_the_bracket_stops_narrowing():
     # iteration must stop on the stall instead of running to max_iter
     g = wheel_graph(9, 3, 4)
     with pytest.raises(PowerIterationError) as err:
-        perron(build_nb_matrix(g), rel_tol=1e-18)
+        perron(factored_nb_operator(g), rel_tol=1e-18)
     assert err.value.iterations < 5000
     assert "stopped narrowing" in str(err.value)
-    assert abs(err.value.last_estimate - perron_value(build_nb_matrix(g))) <= 1e-11
+    assert abs(err.value.last_estimate - perron(factored_nb_operator(g)).value) <= 1e-11
 
 
 @pytest.mark.parametrize("cap", [None, 1])

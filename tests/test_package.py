@@ -10,18 +10,17 @@ import pytest
 import nbrw
 
 PUBLIC_NAMES = sorted(
-    """BitStats CapabilityError ConditionVerdict ConsistencyError Dart ExactBitDistribution ExactValue
+    """BitStats CapabilityError ConditionVerdict ConsistencyError ExactBitDistribution ExactValue
     FactoredNbOperator Graph GraphError GraphParseError GrowthVerdict IrreducibilityVerdict
-    PerronResult PowerIterationError PreconditionError SuspendedPath VarianceReport WalkBatch WalkSample
-    asymptotic_variance average_growth_rate build_graph build_nb_matrix build_transition_matrix
-    build_weighted_matrix centered_bit_values chain_asymptotic_variance check_cycle_condition
-    check_suspended_path_condition complete_bipartite_graph complete_graph count_nb_walks cover_growth_rate
-    dart_transitions distribution_csv enumerate_nb_walks equal_growth_wheel equal_growth_wheel_parameters
-    estimate_bit_stats exact_bit_distribution factored_nb_operator find_improving_cycle format_graph_text
-    geometric_mean growth_verdict histogram_csv interpolation_matrix is_nb_irreducible k4_minus_edge
-    load_graph nb_perron parse_graph_text path_growth_function perron perron_value run_walks sample_walk
-    save_graph stationary_distribution subdivide suspended_path_decomposition tracked_degrees
-    truncated_variance variance_report wheel_graph""".split()
+    PerronResult PowerIterationError PreconditionError SuspendedPath VarianceReport WalkBatch
+    asymptotic_variance average_growth_rate build_graph build_transition_matrix
+    build_weighted_matrix centered_bit_values check_cycle_condition check_suspended_path_condition
+    complete_bipartite_graph complete_graph cover_growth_rate distribution_csv equal_growth_wheel
+    equal_growth_wheel_parameters exact_bit_distribution factored_nb_operator find_improving_cycle
+    format_graph_text growth_verdict histogram_csv interpolation_matrix is_nb_irreducible
+    k4_minus_edge load_graph nb_perron parse_graph_text path_growth_function perron run_walks
+    save_graph subdivide suspended_path_decomposition tracked_degrees truncated_variance
+    variance_report wheel_graph""".split()
 )
 
 
@@ -58,6 +57,22 @@ def test_public_names_are_the_defining_modules_objects():
     assert set(PUBLIC_NAMES) <= set(dir(nbrw))
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         nbrw.nonexistent
+
+
+def test_library_calls_load_no_scipy():
+    # scipy's one use is the sparse LU above the dense cutoff; perron takes
+    # a numpy array as it is, and the solve at the cutoff is dense
+    proc = _run(
+        "import sys, numpy as np, nbrw\n"
+        "from nbrw.variance import _DENSE_UNKNOWNS\n"
+        "g = nbrw.k4_minus_edge()\n"
+        "nbrw.perron(np.array([[0, 0, 1], [2, 0, 0], [1, 1, 0]], dtype=float))\n"
+        "nbrw.nb_perron(g)\n"
+        "nbrw.truncated_variance(g, 8)\n"
+        "nbrw.asymptotic_variance(nbrw.wheel_graph(_DENSE_UNKNOWNS - 1, 1, 2))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert proc.stdout.split() == []
 
 
 # Runs ``python -m nbrw`` with the given arguments and reports the exit code,

@@ -15,15 +15,11 @@ from nbrw import (
     check_cycle_condition,
     complete_bipartite_graph,
     complete_graph,
-    count_nb_walks,
-    dart_transitions,
     distribution_csv,
     equal_growth_wheel,
-    estimate_bit_stats,
     exact_bit_distribution,
     histogram_csv,
     run_walks,
-    sample_walk,
     subdivide,
     tracked_degrees,
     truncated_variance,
@@ -34,6 +30,8 @@ from nbrw._kernels import available_engines
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
+from _reference_criteria import potential
+from _reference_walks import dart_transitions, sample_walk, total_variation
 
 
 def brute_force_distribution(g, length):
@@ -131,18 +129,18 @@ def test_run_walks_matches_scalar_walks(k4e, monkeypatch):
 
 def test_estimate_bit_stats_needs_two_samples(k4e):
     with pytest.raises(PreconditionError):
-        estimate_bit_stats(k4e, 10, 1, seed=0)
+        run_walks(k4e, 10, 1, seed=0).bit_stats()
 
 
 def test_estimate_bit_stats_k4_zero_variance(k4):
-    stats = estimate_bit_stats(k4, 50, 500, seed=1)
+    stats = run_walks(k4, 50, 500, seed=1).bit_stats()
     assert stats.mean_bits_per_step == 1.0
     assert stats.variance_of_bits == 0.0
     assert stats.standard_error_of_mean == 0.0
 
 
 def test_estimate_bit_stats_k4e(k4e):
-    stats = estimate_bit_stats(k4e, 400, 20_000, seed=2, workers=2)
+    stats = run_walks(k4e, 400, 20_000, seed=2, workers=2).bit_stats()
     assert abs(stats.mean_bits_per_step - 0.6) < 0.005
     assert abs(stats.variance_of_bits / 400 - 0.016) < 0.004
     assert stats.sample_count == 20_000
@@ -260,7 +258,7 @@ def test_exact_law_telescopes_on_equal_graphs(build, lengths):
     g = build()
     cycle = check_cycle_condition(g)
     assert cycle.holds
-    potentials = set(cycle.potential.values())
+    potentials = set(potential(cycle).values())
     ratios = {a / b for a in potentials for b in potentials}
     for length in lengths:
         dist = exact_bit_distribution(g, length)
@@ -297,7 +295,7 @@ def test_monte_carlo_total_variation(k4e):
     length, samples = 300, 40_000
     batch = run_walks(k4e, length, samples, seed=4, workers=4)
     dist = exact_bit_distribution(k4e, length)
-    tv = dist.total_variation(batch.histogram(), samples)
+    tv = total_variation(dist, batch.histogram(), samples)
     assert tv <= 0.02
 
 
@@ -305,15 +303,15 @@ def test_variance_dichotomy_trend(k4e, w523):
     lengths = (200, 400, 800)
     strict_values = {}
     for length in lengths:
-        stats = estimate_bit_stats(k4e, length, 20_000, seed=6, workers=4)
+        stats = run_walks(k4e, length, 20_000, seed=6, workers=4).bit_stats()
         strict_values[length] = stats.variance_of_bits / length
     center = sum(strict_values.values()) / len(strict_values)
     for length, value in strict_values.items():
         assert abs(value - center) <= 0.15 * center, strict_values
 
-    reference = estimate_bit_stats(w523, 100, 20_000, seed=7, workers=4).variance_of_bits
+    reference = run_walks(w523, 100, 20_000, seed=7, workers=4).bit_stats().variance_of_bits
     for length in lengths:
-        bounded = estimate_bit_stats(w523, length, 20_000, seed=8, workers=4).variance_of_bits
+        bounded = run_walks(w523, length, 20_000, seed=8, workers=4).bit_stats().variance_of_bits
         assert bounded <= reference * 1.5
 
 
@@ -387,8 +385,8 @@ def test_half_loop_graph_engines_agree():
 
 def test_hub_graph_walks_allocate_no_arc_table():
     # hk10: 26,650 darts but 1.08 M transition arcs, almost all at its hub.
-    # Walks, the exact DP and the walk count read the O(darts) vertex tables;
-    # a per-arc successor table peaked at 28-73 MB in these calls.
+    # Walks, the exact DP and the truncated variance read the O(darts) vertex
+    # tables; a per-arc successor table peaked at 28-73 MB in these calls.
     g = equal_growth_wheel(10)
     assert g.dart_count == 26_650
     assert int((g.degrees * (g.degrees - 1)).sum()) == 1_078_300
@@ -396,7 +394,7 @@ def test_hub_graph_walks_allocate_no_arc_table():
     for call in (
         lambda: run_walks(g, 10, 100, seed=1),
         lambda: exact_bit_distribution(g, 2),
-        lambda: count_nb_walks(g, 0, 3),
+        lambda: truncated_variance(g, 4),
     ):
         tracemalloc.start()
         try:

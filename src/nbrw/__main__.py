@@ -3,9 +3,10 @@
 Before numpy loads, OpenBLAS gets one thread unless ``OPENBLAS_NUM_THREADS``
 is set: its only threaded call is a dense solve of at most 1,536 unknowns,
 and its spinning pool costs every process more than that saves.  The
-collector is off while the modules import; what they made is then frozen
-out of later collections, and frozen again before exit so that teardown
-does not walk it.  ``cli.main`` itself has no process-level side effects.
+collector stays off for the whole run: a command leaves about a thousand
+unreachable objects or fewer, while collections during numpy's import
+cost several milliseconds.  Everything is frozen before exit so that
+teardown does not walk it.  ``cli.main`` has no process-level side effects.
 """
 
 import gc
@@ -18,8 +19,6 @@ def main() -> int:
     gc.disable()
     from . import cli
 
-    gc.freeze()
-    gc.enable()
     try:
         return cli.main()
     finally:

@@ -1,0 +1,87 @@
+"""The graph text format, on plain edge lists and without numpy.
+
+Line-oriented UTF-8: '#' starts a comment line, the first data line is
+"nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
+means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
+:mod:`nbrw.graph` builds its ``Graph`` on this module; ``nbrw gen`` uses it
+alone.
+"""
+
+NORMAL = "normal"
+WHOLE_LOOP = "whole_loop"
+HALF_LOOP = "half_loop"
+
+# every vertex costs a few words in the dart tables, so a header alone could
+# ask for gigabytes; at this size analyze stays under a second and 100 MB
+_MAX_VERTEX_COUNT = 2**22
+
+
+class GraphError(ValueError):
+    """Invalid graph construction input."""
+
+
+class GraphParseError(GraphError):
+    """Malformed graph text; carries the 1-based line number."""
+
+    def __init__(self, line_number: int, message: str):
+        super().__init__(f"line {line_number}: {message}")
+        self.line_number = line_number
+
+
+def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, int, str]:
+    """Validate one edge; a normal edge with equal endpoints becomes a whole-loop."""
+    if kind not in (NORMAL, WHOLE_LOOP, HALF_LOOP):
+        raise GraphError(f"unknown edge kind {kind!r}")
+    if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+        raise GraphError(f"edge endpoint out of range: ({a}, {b})")
+    if kind in (WHOLE_LOOP, HALF_LOOP) and a != b:
+        raise GraphError(f"{kind} requires equal endpoints, got ({a}, {b})")
+    if kind == NORMAL and a == b:
+        kind = WHOLE_LOOP
+    return a, b, kind
+
+
+def parse_text(text: str) -> tuple[int, list[tuple[int, int, str]]]:
+    """``(vertex_count, edges)`` of graph text, every edge checked."""
+    vertex_count = None
+    edges: list[tuple[int, int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if vertex_count is None:
+            if fields[0] != "nbgraph" or len(fields) != 2:
+                raise GraphParseError(lineno, "expected header 'nbgraph <vertex_count>'")
+            try:
+                vertex_count = int(fields[1])
+            except ValueError:
+                raise GraphParseError(lineno, f"invalid vertex count {fields[1]!r}") from None
+            if not 0 <= vertex_count <= _MAX_VERTEX_COUNT:
+                raise GraphParseError(lineno, f"vertex count {vertex_count} is outside 0..{_MAX_VERTEX_COUNT}")
+            continue
+        if fields[0] == "e" and len(fields) == 3:
+            kind, ends, what = NORMAL, fields[1:], "edge endpoints"
+        elif fields[0] == "hl" and len(fields) == 2:
+            kind, ends, what = HALF_LOOP, fields[1:] * 2, "half-loop vertex"
+        else:
+            raise GraphParseError(lineno, f"unrecognized line {line!r}")
+        try:
+            a, b = int(ends[0]), int(ends[1])
+        except ValueError:
+            raise GraphParseError(lineno, f"invalid {what} in {line!r}") from None
+        try:
+            edges.append(_checked_edge(vertex_count, a, b, kind))
+        except GraphError as exc:
+            raise GraphParseError(lineno, str(exc)) from None
+    if vertex_count is None:
+        raise GraphParseError(1, "missing 'nbgraph' header")
+    return vertex_count, edges
+
+
+def format_text(vertex_count: int, edges, comment: str | None = None) -> str:
+    """Graph text of ``(a, b)`` or ``(a, b, kind)`` edges, in the order given."""
+    lines = [f"# {part}" for part in comment.splitlines()] if comment else []
+    lines.append(f"nbgraph {vertex_count}")
+    lines.extend(f"hl {e[0]}" if e[-1] == HALF_LOOP else f"e {e[0]} {e[1]}" for e in edges)
+    return "\n".join(lines) + "\n"

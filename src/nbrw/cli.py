@@ -5,6 +5,10 @@ shell-friendly contract: 0 when the two growth rates are equal (or the
 command simply succeeded), 1 when they differ, 2 for invalid input, a
 failed precondition or a rho bracket that rounding keeps wider than
 ``--tol``, 64 for usage errors.
+
+Each command imports the modules it runs: ``gen`` writes the families'
+edge lists without numpy, ``graph`` or ``operators``, and only ``analyze``
+and ``asymvar`` load the criteria and json.
 """
 
 from __future__ import annotations
@@ -15,15 +19,9 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .graph import Graph, IrreducibilityVerdict, format_graph_text, load_graph, parse_graph_text
-from .operators import PowerIterationError
-
-# each command imports the modules it runs: gen, walk and pdf load neither
-# the criteria nor json
 if TYPE_CHECKING:
     from .conditions import GrowthVerdict
+    from .graph import Graph
 
 EXIT_EQUAL = 0
 EXIT_STRICT = 1
@@ -60,8 +58,17 @@ def _walk_length(text: str) -> int:
     return value
 
 
+def _read_input(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_graph_arg(path: str) -> Graph:
-    return parse_graph_text(sys.stdin.read()) if path == "-" else load_graph(path)
+    from .graph import parse_graph_text
+
+    return parse_graph_text(_read_input(path))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -84,6 +91,8 @@ def _effective_workers(requested: int) -> int:
 
 
 def _degree_histogram(g: Graph) -> dict[str, int]:
+    import numpy as np
+
     counts = np.bincount(g.degrees)  # degrees are at most 2 * edges, whatever the header says
     return {str(d): int(counts[d]) for d in np.flatnonzero(counts).tolist()}
 
@@ -92,6 +101,7 @@ def cmd_analyze(args) -> int:
     import json
 
     from .conditions import growth_verdict
+    from .graph import IrreducibilityVerdict
 
     g = _load_graph_arg(args.input)
     verdict = g.irreducibility
@@ -169,33 +179,35 @@ def _print_analysis(report: dict, result: GrowthVerdict, variance: float | None)
 
 def cmd_gen(args) -> int:
     from . import families
+    from ._text import format_text, parse_text
 
+    if args.family == "subdivide":
+        base = parse_text(_read_input(args.input))  # a bad input is invalid input, not a usage error
     try:
         if args.family == "wheel":
-            g = families.wheel_graph(args.n, args.l1, args.l2)
+            graph = families.wheel_edges(args.n, args.l1, args.l2)
             comment = f"wheel n={args.n} l1={args.l1} l2={args.l2}"
         elif args.family == "hk":
-            g = families.equal_growth_wheel(args.k)
+            graph = families.wheel_edges(*families.equal_growth_wheel_parameters(args.k))
             comment = f"hk k={args.k}"
         elif args.family == "subdivide":
-            base = _load_graph_arg(args.input)
-            g = families.subdivide(base, args.m)
+            graph = families.subdivided_edges(*base, args.m)
             comment = f"subdivision m={args.m}"
         elif args.family == "k4e":
-            g = families.k4_minus_edge()
+            graph = families.K4_MINUS_EDGE
             comment = "K4 minus an edge"
         elif args.family == "complete":
-            g = families.complete_graph(args.n)
+            graph = families.complete_edges(args.n)
             comment = f"complete n={args.n}"
         elif args.family == "bipartite":
-            g = families.complete_bipartite_graph(args.a, args.b)
+            graph = families.complete_bipartite_edges(args.a, args.b)
             comment = f"complete bipartite a={args.a} b={args.b}"
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown family {args.family}")
     except ValueError as exc:
-        print(f"gen: invalid parameters: {exc}", file=sys.stderr)
+        print(f"gen {args.family}: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(format_graph_text(g, comment), args.output)
+    _write_output(format_text(*graph, comment), args.output)
     return 0
 
 
@@ -308,9 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # invalid graphs, unmet preconditions and CapabilityError are ValueErrors;
-    # an unreadable input or unwritable output is an OSError
-    except (OSError, PowerIterationError, ValueError) as exc:
+    # invalid graphs, unmet preconditions and CapabilityError are ValueErrors, an unreadable input or unwritable
+    # output an OSError; PowerIterationError, looked up once raised, can only come from a loaded nbrw.operators
+    except (OSError, ValueError, getattr(sys.modules.get("nbrw.operators"), "PowerIterationError", OSError)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:

@@ -15,23 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-NORMAL = "normal"
-WHOLE_LOOP = "whole_loop"
-HALF_LOOP = "half_loop"
-
-_EDGE_KINDS = (NORMAL, WHOLE_LOOP, HALF_LOOP)
-
-
-class GraphError(ValueError):
-    """Invalid graph construction input."""
-
-
-class GraphParseError(GraphError):
-    """Malformed graph text; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+# the edge kinds and both errors are this module's public names too
+from ._text import HALF_LOOP, NORMAL, WHOLE_LOOP, GraphError, GraphParseError, _checked_edge, format_text, parse_text
 
 
 class IrreducibilityVerdict(str, Enum):
@@ -172,19 +157,6 @@ class Graph:
         return f"Graph(n={self.vertex_count}, edges={len(self.edges)}, darts={self.dart_count})"
 
 
-def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, int, str]:
-    """Validate one edge; a normal edge with equal endpoints becomes a whole-loop."""
-    if kind not in _EDGE_KINDS:
-        raise GraphError(f"unknown edge kind {kind!r}")
-    if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-        raise GraphError(f"edge endpoint out of range: ({a}, {b})")
-    if kind in (WHOLE_LOOP, HALF_LOOP) and a != b:
-        raise GraphError(f"{kind} requires equal endpoints, got ({a}, {b})")
-    if kind == NORMAL and a == b:
-        kind = WHOLE_LOOP
-    return a, b, kind
-
-
 def build_graph(vertex_count: int, edge_list: list[tuple[int, int] | tuple[int, int, str]]) -> Graph:
     """Build a multigraph from ``(a, b)`` or ``(a, b, kind)`` tuples.
 
@@ -235,66 +207,15 @@ def _component_labels(vertex_count: int, tail: np.ndarray, head: np.ndarray) -> 
             label = jumped
 
 
-# --- text format ------------------------------------------------------------
-#
-# Line-oriented UTF-8: '#' starts a comment line, the first data line is
-# "nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
-# means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
-
-# every vertex costs a few words in the dart tables, so a header alone could
-# ask for gigabytes; at this size analyze stays under a second and 100 MB
-_MAX_VERTEX_COUNT = 2**22
+# --- text format: nbrw._text holds the one parser and the one writer --------
 
 
 def parse_graph_text(text: str) -> Graph:
-    vertex_count = None
-    edges: list[tuple[int, int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if vertex_count is None:
-            if fields[0] != "nbgraph" or len(fields) != 2:
-                raise GraphParseError(lineno, "expected header 'nbgraph <vertex_count>'")
-            try:
-                vertex_count = int(fields[1])
-            except ValueError:
-                raise GraphParseError(lineno, f"invalid vertex count {fields[1]!r}") from None
-            if not 0 <= vertex_count <= _MAX_VERTEX_COUNT:
-                raise GraphParseError(lineno, f"vertex count {vertex_count} is outside 0..{_MAX_VERTEX_COUNT}")
-            continue
-        if fields[0] == "e" and len(fields) == 3:
-            kind, ends, what = NORMAL, fields[1:], "edge endpoints"
-        elif fields[0] == "hl" and len(fields) == 2:
-            kind, ends, what = HALF_LOOP, fields[1:] * 2, "half-loop vertex"
-        else:
-            raise GraphParseError(lineno, f"unrecognized line {line!r}")
-        try:
-            a, b = int(ends[0]), int(ends[1])
-        except ValueError:
-            raise GraphParseError(lineno, f"invalid {what} in {line!r}") from None
-        try:
-            edges.append(_checked_edge(vertex_count, a, b, kind))
-        except GraphError as exc:
-            raise GraphParseError(lineno, str(exc)) from None
-    if vertex_count is None:
-        raise GraphParseError(1, "missing 'nbgraph' header")
-    return Graph(vertex_count, edges)
+    return Graph(*parse_text(text))
 
 
 def format_graph_text(g: Graph, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"nbgraph {g.vertex_count}")
-    for a, b, kind in g.edges:
-        if kind == HALF_LOOP:
-            lines.append(f"hl {a}")
-        else:
-            lines.append(f"e {a} {b}")
-    return "\n".join(lines) + "\n"
+    return format_text(g.vertex_count, g.edges, comment)
 
 
 def load_graph(path) -> Graph:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,19 +185,34 @@ def run_walks(
     if len(chunks) == 1:
         run_chunk(*chunks[0])
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        failures: list[BaseException] = []
+        # no thread starts its chunk before all have started, so all are alive
+        # at once and none takes over the ident of one that has finished
+        all_started = threading.Event()
 
-        def pin() -> None:
+        def run_pinned(lo: int, hi: int) -> None:
             # a fresh process's threads can all stay on the CPU they started
-            # on, so each pool thread takes one CPU (list.pop is atomic);
-            # where that fails it runs unpinned
+            # on, so each takes one (list.pop is atomic), or runs unpinned
             try:
                 os.sched_setaffinity(0, [cpus.pop()])
             except (AttributeError, OSError):
                 pass
+            all_started.wait()
+            try:
+                run_chunk(lo, hi)
+            except BaseException as exc:  # raised again in the caller
+                failures.append(exc)
 
-        with ThreadPoolExecutor(max_workers=len(chunks), initializer=pin) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
+        threads = [threading.Thread(target=run_pinned, args=chunk) for chunk in chunks]
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            all_started.set()
+        for thread in threads:
+            thread.join()
+        if failures:
+            raise failures[0]
     return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
 
 

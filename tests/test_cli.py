@@ -70,6 +70,135 @@ def test_gen_subdivide_pipeline(tmp_path, capsys):
     assert len(g.edges) == 12
 
 
+# every family with its gen arguments, the library graph and the comment gen writes
+GEN_FAMILIES = {
+    "wheel": (["wheel", "--n", "5", "--l1", "2", "--l2", "3"], lambda: nbrw.wheel_graph(5, 2, 3),
+              "wheel n=5 l1=2 l2=3"),
+    "hk-even": (["hk", "--k", "4"], lambda: nbrw.equal_growth_wheel(4), "hk k=4"),
+    "hk-odd": (["hk", "--k", "5"], lambda: nbrw.equal_growth_wheel(5), "hk k=5"),
+    "k4e": (["k4e"], nbrw.k4_minus_edge, "K4 minus an edge"),
+    "complete": (["complete", "--n", "6"], lambda: nbrw.complete_graph(6), "complete n=6"),
+    "bipartite": (["bipartite", "--a", "3", "--b", "4"], lambda: nbrw.complete_bipartite_graph(3, 4),
+                  "complete bipartite a=3 b=4"),
+}
+# whole-loops, parallel edges and a vertex on nothing but loops
+LOOPY_TEXT = "# loopy\nnbgraph 4\ne 0 1\ne 1 0\ne 1 1\ne 2 2\ne 1 2\ne 2 0\ne 3 3\ne 3 3\ne 0 3\n"
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_gen_writes_the_library_graphs_text(capsys, family):
+    argv, build, comment = GEN_FAMILIES[family]
+    code, out, _ = run_cli(capsys, "gen", *argv)
+    assert code == 0
+    assert out == nbrw.format_graph_text(build(), comment)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_gen_subdivide_writes_the_library_graphs_text(tmp_path, capsys, monkeypatch, source, m):
+    import io
+
+    path = tmp_path / "loopy.txt"
+    path.write_text(LOOPY_TEXT)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(LOOPY_TEXT))
+    code, out, _ = run_cli(capsys, "gen", "subdivide", "--m", str(m), "-i", str(path) if source == "file" else "-")
+    assert code == 0
+    expected = nbrw.subdivide(parse_graph_text(LOOPY_TEXT), m)
+    assert out == nbrw.format_graph_text(expected, f"subdivision m={m}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("nbgraph 3\nzzz\n", "error: line 2: unrecognized line 'zzz'"),
+     ("# c\nnbgraph 2\ne 0 5\n", "error: line 3: edge endpoint out of range: (0, 5)"),
+     (None, "error: ")],
+    ids=["malformed", "out-of-range", "missing"],
+)
+def test_gen_subdivide_bad_input_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "gen", "subdivide", "--m", "2", "-i", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "invalid parameters" not in err
+
+
+def test_gen_subdivide_half_loop_exit_64(tmp_path, capsys):
+    path = tmp_path / "hl.txt"
+    path.write_text("nbgraph 2\ne 0 1\ne 0 1\nhl 0\nhl 1\n")
+    code, out, err = run_cli(capsys, "gen", "subdivide", "--m", "2", "-i", str(path))
+    assert code == 64 and out == ""
+    assert err == "gen subdivide: invalid parameters: cannot subdivide a graph with half-loops\n"
+
+
+@pytest.mark.parametrize("family", [f for f in GEN_FAMILIES if f != "k4e"] + ["subdivide"])
+def test_gen_refuses_a_family_above_the_bound(tmp_path, capsys, monkeypatch, family):
+    # the closed-form sizes are exact: a bound at the larger of the two
+    # admits the graph, one below refuses it
+    from nbrw import families
+
+    if family == "subdivide":
+        path = tmp_path / "loopy.txt"
+        path.write_text(LOOPY_TEXT)
+        argv, g = ["subdivide", "--m", "3", "-i", str(path)], nbrw.subdivide(parse_graph_text(LOOPY_TEXT), 3)
+    else:
+        argv, build, _ = GEN_FAMILIES[family]
+        g = build()
+    size = max(g.vertex_count, len(g.edges))
+    monkeypatch.setattr(families, "_MAX_VERTEX_COUNT", size)
+    assert run_cli(capsys, "gen", *argv)[0] == 0
+    monkeypatch.setattr(families, "_MAX_VERTEX_COUNT", size - 1)
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 64 and out == ""
+    assert err.startswith(f"gen {argv[0]}: invalid parameters: ") and f"at most {size - 1}" in err
+
+
+def test_gen_refuses_before_building(capsys, monkeypatch):
+    # 2**16 as the bound: building the 79,800 edges of K_400 allocates
+    # megabytes, refusing it a few kilobytes beside the parser
+    import tracemalloc
+
+    from nbrw import families
+
+    monkeypatch.setattr(families, "_MAX_VERTEX_COUNT", 2**16)
+    peaks = {}
+    for n in (362, 400):  # 65,341 edges, then 79,800
+        tracemalloc.start()
+        try:
+            peaks[n] = (run_cli(capsys, "gen", "complete", "--n", str(n))[0], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[362][0] == 0 and peaks[362][1] > 4 * 2**20
+    assert peaks[400][0] == 64 and peaks[400][1] < 2**19
+
+
+# ``python -m nbrw`` with the given arguments; prints its exit code and the
+# modules of interest it left loaded
+_ENTRY_MODULE_PROBE = """
+import runpy, sys
+sys.argv[0] = "nbrw"
+try:
+    runpy.run_module("nbrw", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    loaded = (m for m in sys.modules if m.split(".")[0] == "numpy" or m in ("nbrw.graph", "nbrw.operators"))
+    print(exc.code, *sorted(loaded), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("family", [*GEN_FAMILIES, "subdivide"])
+def test_gen_loads_no_numpy(tmp_path, family):
+    path = tmp_path / "loopy.txt"
+    path.write_text(LOOPY_TEXT)
+    argv = ["subdivide", "--m", "2", "-i", str(path)] if family == "subdivide" else GEN_FAMILIES[family][0]
+    src = str(Path(nbrw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_MODULE_PROBE, "gen", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.startswith("# ")
+    assert proc.stderr.split() == ["0"]
+
+
 def test_analyze_strict_exit_1(k4e_file, capsys):
     code, out, _ = run_cli(capsys, "analyze", k4e_file)
     assert code == 1
@@ -438,7 +567,7 @@ def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, ex
 # modules that some command needs and others need not load; numpy.ma comes
 # with np.unique calls that ask for no return_* arrays
 _PROBED = ("concurrent.futures", "nbrw._kernels", "nbrw.conditions", "nbrw.families", "nbrw.variance", "nbrw.walks",
-           "numpy.ma")
+           "numpy", "numpy.ma")
 _MODULE_PROBE = f"""
 import sys
 from nbrw.cli import main
@@ -450,13 +579,15 @@ print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr
 @pytest.mark.parametrize(
     "argv, expected_code, loaded",
     [
-        (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions"]),
-        (["analyze", "{k4e}", "--with-variance"], 1, ["nbrw.conditions", "nbrw.variance"]),
-        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, ["nbrw._kernels", "nbrw.walks"]),
-        (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks"]),
+        (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions", "numpy"]),
+        (["analyze", "{k4e}", "--with-variance"], 1, ["nbrw.conditions", "nbrw.variance", "numpy"]),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, ["nbrw._kernels", "nbrw.walks", "numpy"]),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0,
+         ["nbrw._kernels", "nbrw.walks", "numpy"]),
+        (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks", "numpy"]),
         (["gen", "k4e"], 0, ["nbrw.families"]),
     ],
-    ids=["analyze", "analyze-variance", "walk", "pdf", "gen"],
+    ids=["analyze", "analyze-variance", "walk", "walk-workers", "pdf", "gen"],
 )
 def test_commands_load_only_the_modules_they_use(k4e_file, argv, expected_code, loaded):
     src = str(Path(nbrw.__file__).resolve().parents[1])

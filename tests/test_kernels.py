@@ -1,7 +1,7 @@
-import concurrent.futures
 import hashlib
 import os
 import random
+import sys
 import threading
 
 import numpy as np
@@ -132,31 +132,28 @@ def test_chunking_never_depends_on_worker_count(k4e):
 
 
 def test_thread_pool_capped_at_cpu_count(k4e, monkeypatch):
-    # a recording stand-in runs the chunks in turn, so no thread starts, and
-    # it never calls the initializer, which would pin the caller's thread
-    pool_sizes, chunk_counts = [], []
+    # a recording stand-in runs each chunk when it is joined, on this
+    # thread, so no thread starts; the pinning each thread does first is
+    # recorded instead of done, as it would pin the caller's thread
+    started, pinned = [], []
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer=None):
-            pool_sizes.append(max_workers)
+    class RecordingThread:
+        def __init__(self, target, args):
+            self.run = lambda: target(*args)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            self.run()
 
-        def map(self, fn, items):
-            items = list(items)
-            chunk_counts.append(len(items))
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)  # run_walks imports it when it runs
+    monkeypatch.setattr(threading, "Thread", RecordingThread)  # run_walks looks it up when it runs
     monkeypatch.setattr(walks.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(walks.os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus))
     reference = run_walks(k4e, 29, 997, seed=31, workers=1)
     capped = run_walks(k4e, 29, 997, seed=31, workers=2000)
-    assert pool_sizes == [3]
-    assert chunk_counts == [3]  # at most one chunk per thread, not one per requested worker
+    assert len(started) == 3  # at most one thread per CPU, not one per requested worker
+    assert sorted(pinned) == [[0], [1], [2]]  # one chunk per thread, each on a CPU of its own
     assert np.array_equal(reference.counts, capped.counts)
     assert np.array_equal(reference.end_darts, capped.end_darts)
 
@@ -184,6 +181,48 @@ def test_pool_threads_each_pinned_to_their_own_cpu(k4e, monkeypatch):
     assert os.sched_getaffinity(0) == caller_cpus  # the caller stays unpinned
     assert np.array_equal(reference.counts, pinned.counts)
     assert np.array_equal(reference.end_darts, pinned.end_darts)
+
+
+def test_chunk_threads_are_alive_at_once(k4e, monkeypatch):
+    # short chunks on a short switch interval: a thread that finished before
+    # the next one started would hand it its ident, and two chunks would
+    # read as one thread on two CPUs
+    caller_cpus = os.sched_getaffinity(0)
+    if len(caller_cpus) < 2:
+        pytest.skip("needs two CPUs to run two chunks")
+    name, kernel = get_kernel()
+    seen = {}
+
+    def recording(*args):
+        seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "get_kernel", lambda engine=None: (name, recording))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(50):
+            seen.clear()
+            run_walks(k4e, 5, 40, seed=seed, workers=2 * len(caller_cpus))
+            assert len(seen) == len(caller_cpus), seed
+            assert all(len(cpus) == 1 for cpus in seen.values()), seed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_thread_raises_in_the_caller(k4e, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs to run two chunks")
+    name, kernel = get_kernel()
+
+    def failing(seed, lo, *args):
+        if lo > 0:  # every chunk but the first
+            raise MemoryError("chunk failed")
+        return kernel(seed, lo, *args)
+
+    monkeypatch.setattr(kernels, "get_kernel", lambda engine=None: (name, failing))
+    with pytest.raises(MemoryError, match="chunk failed"):
+        run_walks(k4e, 10, 100, seed=0, workers=2)
 
 
 # Walk streams recorded from the per-arc successor table the kernels used to

@@ -76,29 +76,34 @@ def test_library_calls_load_no_scipy():
 
 
 # Runs ``python -m nbrw`` with the given arguments and reports the exit code,
-# whether the collector is on with objects frozen, and the
-# OPENBLAS_NUM_THREADS that numpy found when it loaded.
+# whether the collector is off with objects frozen at exit, and the
+# OPENBLAS_NUM_THREADS that numpy found when it loaded, with whether the
+# collector was on then.
 _ENTRY_PROBE = """
 import gc, os, runpy, sys
 seen = []
 def hook(event, args):
     if event == "import" and args[0] == "numpy" and not seen:
-        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        seen.extend([os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled()])
 sys.addaudithook(hook)
 sys.argv[0] = "nbrw"
 try:
     runpy.run_module("nbrw", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    print(exc.code, gc.isenabled() and gc.get_freeze_count() > 0, *seen, file=sys.stderr)
+    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, *seen, file=sys.stderr)
 """
 
 
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
-def test_entry_sets_one_blas_thread_unless_the_user_did(user_value, expected):
+def test_entry_sets_one_blas_thread_unless_the_user_did(tmp_path, user_value, expected):
+    # gen loads no numpy, so the probe analyzes k4e: the collector stays off
+    # through the command, numpy's import included, and all is frozen at exit
+    path = tmp_path / "k4e.txt"
+    path.write_text(nbrw.format_graph_text(nbrw.k4_minus_edge()))
     env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
-    proc = _run(_ENTRY_PROBE, "gen", "k4e", **env)
-    assert "nbgraph 4" in proc.stdout.splitlines()
-    assert proc.stderr.split() == ["0", "True", expected]
+    proc = _run(_ENTRY_PROBE, "analyze", str(path), **env)
+    assert "verdict: strict" in proc.stdout.splitlines()
+    assert proc.stderr.split() == ["1", "False", "True", expected, "False"]
 
 
 def test_installed_command_is_the_module_entry():

@@ -3,9 +3,12 @@
 Line-oriented UTF-8: '#' starts a comment line, the first data line is
 "nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
 means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
-:mod:`nbrw.graph` builds its ``Graph`` on this module; ``nbrw gen`` uses it
-alone.
+:mod:`nbrw.graph` builds its ``Graph`` on this module; ``nbrw gen`` and
+``nbrw pdf`` use it alone, so it holds the errors and verdicts they report.
 """
+
+from enum import Enum
+from typing import NamedTuple
 
 NORMAL = "normal"
 WHOLE_LOOP = "whole_loop"
@@ -18,6 +21,28 @@ _MAX_VERTEX_COUNT = 2**22
 
 class GraphError(ValueError):
     """Invalid graph construction input."""
+
+
+class PreconditionError(ValueError):
+    """A graph does not satisfy an operation's stated precondition."""
+
+
+class CapabilityError(ValueError):
+    """An exact computation would exceed one of its stated limits: the
+    exact bit law handles at most two distinct branching degrees, and the
+    maximum-mean cycle search at most 2**16 table cells."""
+
+
+class IrreducibilityVerdict(str, Enum):
+    OK = "ok"
+    NOT_CONNECTED = "not_connected"
+    MIN_DEGREE_BELOW_2 = "min_degree_below_2"
+    IS_CYCLE = "is_cycle"
+
+
+class EdgeList(NamedTuple):  # a parsed graph, with every edge checked
+    vertex_count: int
+    edges: list[tuple[int, int, str]]
 
 
 class GraphParseError(GraphError):
@@ -41,7 +66,7 @@ def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, in
     return a, b, kind
 
 
-def parse_text(text: str) -> tuple[int, list[tuple[int, int, str]]]:
+def parse_text(text: str) -> EdgeList:
     """``(vertex_count, edges)`` of graph text, every edge checked."""
     vertex_count = None
     edges: list[tuple[int, int, str]] = []
@@ -76,7 +101,7 @@ def parse_text(text: str) -> tuple[int, list[tuple[int, int, str]]]:
             raise GraphParseError(lineno, str(exc)) from None
     if vertex_count is None:
         raise GraphParseError(1, "missing 'nbgraph' header")
-    return vertex_count, edges
+    return EdgeList(vertex_count, edges)
 
 
 def format_text(vertex_count: int, edges, comment: str | None = None) -> str:

@@ -7,8 +7,9 @@ failed precondition or a rho bracket that rounding keeps wider than
 ``--tol``, 64 for usage errors.
 
 Each command imports the modules it runs: ``gen`` writes the families'
-edge lists without numpy, ``graph`` or ``operators``, and only ``analyze``
-and ``asymvar`` load the criteria and json.
+edge lists and ``pdf`` runs the exact law on the parsed edge list, both
+without numpy, ``graph`` or ``operators``, and only ``analyze`` and
+``asymvar`` load the criteria and json.
 """
 
 from __future__ import annotations
@@ -234,10 +235,10 @@ def cmd_walk(args) -> int:
 
 
 def cmd_pdf(args) -> int:
+    from ._text import parse_text
     from .walks import distribution_csv, exact_bit_distribution
 
-    g = _load_graph_arg(args.input)
-    dist = exact_bit_distribution(g, args.length)
+    dist = exact_bit_distribution(parse_text(_read_input(args.input)), args.length)
     csv_text = distribution_csv(dist)
     if args.csv:
         _write_output(csv_text, args.csv)

@@ -10,20 +10,13 @@ appended after all paired darts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-# the edge kinds and both errors are this module's public names too
-from ._text import HALF_LOOP, NORMAL, WHOLE_LOOP, GraphError, GraphParseError, _checked_edge, format_text, parse_text
-
-
-class IrreducibilityVerdict(str, Enum):
-    OK = "ok"
-    NOT_CONNECTED = "not_connected"
-    MIN_DEGREE_BELOW_2 = "min_degree_below_2"
-    IS_CYCLE = "is_cycle"
+# the edge kinds, both errors and the verdict are this module's public names too
+from ._text import (HALF_LOOP, NORMAL, WHOLE_LOOP, GraphError, GraphParseError, IrreducibilityVerdict, _checked_edge,
+                    format_text, parse_text)
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._text import CapabilityError, PreconditionError  # public names of this module too
 from .graph import Graph, IrreducibilityVerdict
-
-
-class PreconditionError(ValueError):
-    """A graph does not satisfy an operation's stated precondition."""
-
-
-class CapabilityError(ValueError):
-    """An exact computation would exceed one of its stated limits: the
-    exact bit law handles at most two distinct branching degrees, and the
-    maximum-mean cycle search at most 2**16 table cells."""
 
 
 class PowerIterationError(RuntimeError):

@@ -11,7 +11,8 @@ count vector) states with big-integer walk counts; each state's
 probability has the closed form  count / (dart_count * prod(degree**count)).
 Each dart keeps one dict from count vector, as one integer key, to walk
 count, so an equal graph, whose bit total telescopes, stores a few states
-per dart at any length.
+per dart at any length.  The exact law reads only the edge list, without
+numpy; the sampling functions import numpy where they run.
 """
 
 from __future__ import annotations
@@ -21,18 +22,20 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _rng
-from .graph import Graph
-from .operators import CapabilityError, PreconditionError, require_nb_irreducible
+from ._text import HALF_LOOP, CapabilityError, EdgeList, IrreducibilityVerdict, PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .graph import Graph
 
 
 def tracked_degrees(g: Graph) -> tuple[int, ...]:
     """Distinct branching degrees (outdeg > 1), ascending."""
-    # np.unique without return_* flags would import numpy.ma
-    return tuple(d for d in np.flatnonzero(np.bincount(g.out_degree_vector())).tolist() if d > 1)
+    return tuple(sorted({d - 1 for d in g.degrees.tolist() if d > 2}))  # every vertex of degree > 2 is a head
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class WalkBatch:
         logs = [math.log2(v) for v in self.degrees]
         # each moment sums n products of two counts: past 2**63 int64 would wrap, so use Python ints
         exact = n * int(self.counts.max(initial=0)) ** 2 >= 2**63
-        counts = self.counts.astype(object if exact else np.int64)
+        counts = self.counts.astype(object if exact else "int64")
         s1 = [int(x) for x in counts.sum(axis=0)]
         m2 = counts.T @ counts
         total_bits = sum(l * s for l, s in zip(logs, s1))
@@ -103,12 +106,16 @@ class WalkBatch:
 
     def histogram(self) -> dict[tuple[int, ...], int]:
         """Occurrences of each branch-count vector, in ascending order."""
+        import numpy as np
+
         rows = self.counts[np.lexsort(self.counts.T[::-1])]  # the first column is the primary key
         starts = np.flatnonzero(np.append(True, (rows[1:] != rows[:-1]).any(axis=1)))
         runs = np.diff(np.append(starts, len(rows)))
         return dict(zip(map(tuple, rows[starts].tolist()), runs.tolist()))
 
     def end_dart_counts(self) -> np.ndarray:
+        import numpy as np
+
         return np.bincount(self.end_darts, minlength=self.dart_count)
 
 
@@ -125,6 +132,8 @@ def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[in
     ``Graph.suspended_paths``: a walk on e reaches ``anchor[e]`` ``dist[e]``
     steps later without a draw.
     """
+    import numpy as np
+
     if not hasattr(g, "_walk_table_cache"):
         offsets, out_flat = g.out_dart_table
         position = np.empty(g.dart_count, dtype=np.int64)
@@ -158,7 +167,10 @@ def run_walks(
     process may run on (``os.sched_getaffinity``), one thread each, and
     each thread is pinned to a CPU of its own.
     """
+    import numpy as np
+
     from ._kernels import get_kernel
+    from .operators import require_nb_irreducible
 
     require_nb_irreducible(g)
     if not 0 <= length < 2**63:
@@ -265,10 +277,44 @@ def _sum_of_maps(maps) -> dict[int, int]:
     return total
 
 
-def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
+def _dart_lists(vertex_count: int, edges) -> tuple[IrreducibilityVerdict, list[int], list[list[int]]]:
+    """:func:`nbrw.graph.is_nb_irreducible` of an edge list in pure Python, then the
+    reverse of each dart and the darts leaving each vertex, an edge's darts
+    consecutive and a half-loop's one dart its own reverse."""
+    if not 0 < vertex_count <= len(edges) + 1:  # a spanning tree needs V - 1 edges
+        return IrreducibilityVerdict.NOT_CONNECTED, [], []
+    reverse, out, parent = [], [[] for _ in range(vertex_count)], list(range(vertex_count))
+    for a, b, kind in edges:
+        d = len(reverse)
+        out[a].append(d)
+        if kind == HALF_LOOP:
+            reverse.append(d)
+        else:
+            reverse += (d + 1, d)
+            out[b].append(d + 1)
+        while parent[a] != a:  # union-find with path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    degree = list(map(len, out))
+    if sum(v == root for v, root in enumerate(parent)) > 1:
+        verdict = IrreducibilityVerdict.NOT_CONNECTED
+    elif min(degree) < 2:
+        verdict = IrreducibilityVerdict.MIN_DEGREE_BELOW_2
+    elif max(degree) <= 2:
+        verdict = IrreducibilityVerdict.IS_CYCLE
+    else:
+        verdict = IrreducibilityVerdict.OK
+    return verdict, reverse, out
+
+
+def exact_bit_distribution(g: Graph | EdgeList, length: int) -> ExactBitDistribution:
     """Exact distribution of the branch-count vector by dynamic programming.
 
-    Each dart maps the count vectors of the walks that end at it, keyed
+    Reads only ``g.vertex_count`` and ``g.edges``, so ``g`` may be a
+    ``Graph`` or a parsed :class:`~nbrw._text.EdgeList`.  Each dart maps the
+    count vectors of the walks that end at it, keyed
     ``sum(c_i * (length + 1)**i)``, to their number; a step sums the maps
     of each dart's predecessors and adds one degree's place value to every
     key.  Only reachable vectors are stored: a few per dart when the rates
@@ -276,17 +322,19 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
     Supports at most two distinct branching degrees; raises
     :class:`CapabilityError` beyond that.
     """
-    require_nb_irreducible(g)
+    verdict, reverse, out = _dart_lists(g.vertex_count, g.edges)
+    if verdict is not IrreducibilityVerdict.OK:
+        raise PreconditionError(f"requires NB-irreducibility, got {verdict.value}")
     if length < 0:
         raise ValueError("length must be non-negative")
-    degrees = tracked_degrees(g)
+    degrees = tuple(sorted({len(darts) - 1 for darts in out if len(darts) > 2}))
     k = len(degrees)
     if k > 2:
         raise CapabilityError(
             f"exact distribution supports at most 2 distinct branching degrees, graph has {k}: {degrees}"
         )
 
-    n = g.dart_count
+    n = len(reverse)
     radix = length + 1  # no count exceeds length, so the key sum(c_i * radix**i) is one-to-one
     step = {d: radix**i for i, d in enumerate(degrees)}
 
@@ -294,16 +342,14 @@ def exact_bit_distribution(g: Graph, length: int) -> ExactBitDistribution:
     # and each of them branches deg(tail f) - 1 ways; where tail(f) has degree
     # two that leaves one predecessor, which does not branch, so f takes its
     # map as it is
-    successor = g.chain_successor
-    chain = np.flatnonzero(successor >= 0)
-    predecessor = np.full(n, -1, dtype=np.int64)
-    predecessor[successor[chain]] = chain
-    predecessor, reverse = predecessor.tolist(), g.dart_reverse.tolist()
-    branching = [
-        (step[degree - 1], [(f, reverse[f]) for f in g.out_darts(v)])
-        for v, degree in enumerate(g.degrees.tolist())
-        if degree > 2
-    ]
+    predecessor = [0] * n  # darts leaving a branching vertex are set below
+    branching = []
+    for darts in out:
+        if len(darts) == 2:
+            e, f = darts
+            predecessor[e], predecessor[f] = reverse[f], reverse[e]
+        else:
+            branching.append((step[len(darts) - 1], [(f, reverse[f]) for f in darts]))
 
     maps = [{0: 1}] * n  # per dart: count-vector key -> walks ending there; shared, never changed
     for _ in range(length):

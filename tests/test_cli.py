@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -157,8 +158,6 @@ def test_gen_refuses_a_family_above_the_bound(tmp_path, capsys, monkeypatch, fam
 def test_gen_refuses_before_building(capsys, monkeypatch):
     # 2**16 as the bound: building the 79,800 edges of K_400 allocates
     # megabytes, refusing it a few kilobytes beside the parser
-    import tracemalloc
-
     from nbrw import families
 
     monkeypatch.setattr(families, "_MAX_VERTEX_COUNT", 2**16)
@@ -396,6 +395,72 @@ def test_pdf_capability_error(tmp_path, capsys):
     assert "branching degrees" in err
 
 
+def test_pdf_hostile_header_exit_2_before_any_per_vertex_table(tmp_path, capsys):
+    # one edge cannot connect 2**22 vertices: refused before a list per vertex is built
+    path = tmp_path / "hostile.txt"
+    path.write_text("nbgraph 4194304\ne 0 1\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "pdf", str(path), "--len", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == "error: requires NB-irreducibility, got not_connected\n"
+    assert peak < 1_000_000
+
+
+# Runs ``python -m nbrw`` with numpy unimportable when the first argument is "block".
+_NUMPY_BLOCKED = """
+import runpy, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv.pop(1) == "block":
+    sys.meta_path.insert(0, NoNumpy())
+sys.argv[0] = "nbrw"
+runpy.run_module("nbrw", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["{k4e}", "--len", "10", "--csv", "{csv}"], 0),
+        (["{k4e}", "--len", "10"], 0),
+        (["{w532}", "--len", "40", "--csv", "{csv}"], 0),
+        (["{w532}", "--len", "40"], 0),
+        (["{three}", "--len", "3"], 2),
+        (["{cycle}", "--len", "3"], 2),
+        (["{malformed}", "--len", "3"], 2),
+        (["{k4e}", "--len", "-1"], 2),
+    ],
+    ids=["k4e-csv", "k4e-stdout", "w532-csv", "w532-stdout", "three-degrees", "cycle", "malformed", "negative-len"],
+)
+def test_pdf_runs_without_numpy(k4e_file, tmp_path, capsys, argv, expected_code):
+    files = {"k4e": k4e_file, "w532": tmp_path / "w532.txt", "three": tmp_path / "three.txt",
+             "cycle": tmp_path / "cycle.txt", "malformed": tmp_path / "malformed.txt"}
+    run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "3", "--l2", "2", "-o", str(files["w532"]))
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)]
+    files["three"].write_text("nbgraph 6\n" + "".join(f"e {a} {b}\n" for a, b in edges))
+    files["cycle"].write_text("nbgraph 5\n" + "".join(f"e {i} {(i + 1) % 5}\n" for i in range(5)))
+    files["malformed"].write_text("nbgraph 3\ne 0 1\nzzz\n")
+    src = str(Path(nbrw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = []
+    for mode in ("block", "open"):
+        csv = tmp_path / f"{mode}.csv"
+        args = [a.format(csv=csv, **files) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, mode, "pdf", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr, csv.read_text() if csv.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == expected_code
+
+
 def test_asymvar_json(k4e_file, capsys):
     code, out, _ = run_cli(capsys, "asymvar", k4e_file, "--truncate", "64", "128")
     assert code == 0
@@ -566,8 +631,8 @@ def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, ex
 
 # modules that some command needs and others need not load; numpy.ma comes
 # with np.unique calls that ask for no return_* arrays
-_PROBED = ("concurrent.futures", "nbrw._kernels", "nbrw.conditions", "nbrw.families", "nbrw.variance", "nbrw.walks",
-           "numpy", "numpy.ma")
+_PROBED = ("concurrent.futures", "nbrw._kernels", "nbrw.conditions", "nbrw.families", "nbrw.graph", "nbrw.operators",
+           "nbrw.variance", "nbrw.walks", "numpy", "numpy.ma")
 _MODULE_PROBE = f"""
 import sys
 from nbrw.cli import main
@@ -579,12 +644,14 @@ print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr
 @pytest.mark.parametrize(
     "argv, expected_code, loaded",
     [
-        (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions", "numpy"]),
-        (["analyze", "{k4e}", "--with-variance"], 1, ["nbrw.conditions", "nbrw.variance", "numpy"]),
-        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, ["nbrw._kernels", "nbrw.walks", "numpy"]),
+        (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "numpy"]),
+        (["analyze", "{k4e}", "--with-variance"], 1,
+         ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "nbrw.variance", "numpy"]),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0,
+         ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"]),
         (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0,
-         ["nbrw._kernels", "nbrw.walks", "numpy"]),
-        (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks", "numpy"]),
+         ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"]),
+        (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks"]),
         (["gen", "k4e"], 0, ["nbrw.families"]),
     ],
     ids=["analyze", "analyze-variance", "walk", "walk-workers", "pdf", "gen"],

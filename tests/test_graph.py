@@ -13,9 +13,9 @@ from nbrw import (
     parse_graph_text,
 )
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP, _is_connected
-from nbrw.walks import _walk_tables
+from nbrw.walks import _dart_lists, _walk_tables
 
-from _corpus import pairing_graph, random_nb_irreducible
+from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible
 from _reference_walks import dart_transitions
 
 
@@ -190,7 +190,8 @@ def _connected_by_search(g):
     return len(seen) == g.vertex_count
 
 
-def test_is_connected_matches_search():
+def _seeded_corpus():
+    """Irreducible graphs, split ones, long cycles and paths, and loops alone."""
     rng = random.Random(5151)
     graphs = [random_nb_irreducible(rng, half_loop_prob=0.5) for _ in range(100)]
     # random degree sequences with degree-0 and degree-1 vertices: often split
@@ -211,9 +212,47 @@ def test_is_connected_matches_search():
         build_graph(2, [(0, 0, WHOLE_LOOP), (1, 1, HALF_LOOP)]),
         build_graph(3, [(0, 0, WHOLE_LOOP), (1, 1, WHOLE_LOOP), (2, 2, HALF_LOOP)]),
     ]
+    return graphs
+
+
+def test_is_connected_matches_search():
+    graphs = _seeded_corpus()
     verdicts = [_is_connected(g) for g in graphs]
     assert verdicts == [_connected_by_search(g) for g in graphs]
     assert 50 <= sum(verdicts) <= len(graphs) - 50
+
+
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_V = IrreducibilityVerdict
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges, verdict",
+    [
+        (0, [], _V.NOT_CONNECTED),
+        (5, K4 + [(0, 1)], _V.NOT_CONNECTED),  # an isolated vertex, with enough edges to pass the edge count
+        (5, K4 + [(0, 4)], _V.MIN_DEGREE_BELOW_2),
+        (5, [(i, (i + 1) % 5) for i in range(5)], _V.IS_CYCLE),
+        (5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 0, HALF_LOOP)], _V.OK),
+        (8, K4 + [(a + 4, b + 4) for a, b in K4], _V.NOT_CONNECTED),
+        (1, [(0, 0)], _V.IS_CYCLE),
+        (5, K4 + [(4, 4)], _V.NOT_CONNECTED),
+    ],
+    ids=["empty", "isolated-vertex", "leaf", "cycle", "cycle-half-loop", "two-components", "whole-loop",
+         "whole-loop-apart"],
+)
+def test_list_irreducibility_matches_the_graph_check_on_named_cases(vertex_count, edges, verdict):
+    g = build_graph(vertex_count, edges)
+    assert is_nb_irreducible(g) is verdict
+    assert _dart_lists(g.vertex_count, g.edges)[0] is verdict
+
+
+def test_list_irreducibility_matches_the_graph_check_on_the_corpus():
+    # the pure-Python check of the exact law must agree with the numpy check everywhere
+    graphs = _seeded_corpus() + graphs_with_loops(random.Random(6161))
+    verdicts = [is_nb_irreducible(g) for g in graphs]
+    assert [_dart_lists(g.vertex_count, g.edges)[0] for g in graphs] == verdicts
+    assert set(verdicts) == set(IrreducibilityVerdict)
 
 
 def test_text_format_round_trip(k4e):

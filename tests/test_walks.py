@@ -18,7 +18,9 @@ from nbrw import (
     distribution_csv,
     equal_growth_wheel,
     exact_bit_distribution,
+    format_graph_text,
     histogram_csv,
+    parse_graph_text,
     run_walks,
     subdivide,
     tracked_degrees,
@@ -27,6 +29,7 @@ from nbrw import (
     wheel_graph,
 )
 from nbrw._kernels import available_engines
+from nbrw._text import parse_text
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
@@ -57,6 +60,13 @@ def brute_force_distribution(g, length):
     for e in range(g.dart_count):
         collect(e, length, tuple([0] * len(degrees)), start)
     return out
+
+
+def law_inputs(g):
+    """``g`` read back from its text as a ``Graph`` and as the parsed edge
+    list that ``nbrw pdf`` passes; the exact law must not tell them apart."""
+    text = format_graph_text(g)
+    return parse_graph_text(text), parse_text(text)
 
 
 def test_sample_walk_valid_transitions(k4e):
@@ -183,15 +193,24 @@ def test_marginal_stationarity_chi_squared(k4e):
 
 
 def test_exact_distribution_k4e_l1(k4e):
-    dist = exact_bit_distribution(k4e, 1)
-    assert dist.probabilities == {(0,): Fraction(2, 5), (1,): Fraction(3, 5)}
+    for g in law_inputs(k4e):
+        dist = exact_bit_distribution(g, 1)
+        assert dist.probabilities == {(0,): Fraction(2, 5), (1,): Fraction(3, 5)}
 
 
 def test_exact_distribution_against_enumeration(k4e):
     for length in (0, 1, 2, 3, 5, 7):
-        dp = exact_bit_distribution(k4e, length)
         brute = brute_force_distribution(k4e, length)
-        assert dp.probabilities == brute
+        for g in law_inputs(k4e):
+            assert exact_bit_distribution(g, length).probabilities == brute
+    # one graph with a half-loop and one with a whole-loop; the other two have three branching degrees
+    loop_graphs = [g for g in graphs_with_loops(random.Random(1919)) if len(tracked_degrees(g)) <= 2]
+    assert {kind for g in loop_graphs for _, _, kind in g.edges} >= {HALF_LOOP, WHOLE_LOOP}
+    for g in loop_graphs:
+        for length in (0, 1, 2, 4):
+            brute = brute_force_distribution(g, length)
+            for h in law_inputs(g):
+                assert exact_bit_distribution(h, length).probabilities == brute
 
 
 def test_exact_distribution_two_degrees_against_enumeration():
@@ -200,15 +219,15 @@ def test_exact_distribution_two_degrees_against_enumeration():
     h = wheel_graph(4, 1, 2)  # hub degree 4, junctions 3: degrees {2,3}
     assert tracked_degrees(h) == (2, 3)
     for length in (0, 1, 2, 4, 5):
-        dp = exact_bit_distribution(h, length)
         brute = brute_force_distribution(h, length)
-        assert dp.probabilities == brute
+        for g in law_inputs(h):
+            assert exact_bit_distribution(g, length).probabilities == brute
 
 
 def test_exact_distribution_point_mass_on_k4(k4):
     for length in (0, 3, 20):
-        dist = exact_bit_distribution(k4, length)
-        assert dist.probabilities == {(length,): Fraction(1)}
+        for g in law_inputs(k4):
+            assert exact_bit_distribution(g, length).probabilities == {(length,): Fraction(1)}
 
 
 def test_exact_distribution_mean_law_on_corpus():
@@ -220,14 +239,15 @@ def test_exact_distribution_mean_law_on_corpus():
             continue
         checked += 1
         length = rng.randint(1, 12)
-        dist = exact_bit_distribution(g, length)
-        assert sum(dist.probabilities.values()) == 1
-        darts_per_degree = {
-            v: sum(1 for e in range(g.dart_count) if g.out_degree(e) == v)
-            for v in dist.degrees
-        }
-        for v, expected_count in zip(dist.degrees, dist.expected_counts()):
-            assert expected_count == Fraction(length * darts_per_degree[v], g.dart_count)
+        for h in law_inputs(g):
+            dist = exact_bit_distribution(h, length)
+            assert sum(dist.probabilities.values()) == 1
+            darts_per_degree = {
+                v: sum(1 for e in range(g.dart_count) if g.out_degree(e) == v)
+                for v in dist.degrees
+            }
+            for v, expected_count in zip(dist.degrees, dist.expected_counts()):
+                assert expected_count == Fraction(length * darts_per_degree[v], g.dart_count)
 
 
 def test_exact_distribution_rejects_three_degrees():
@@ -238,8 +258,9 @@ def test_exact_distribution_rejects_three_degrees():
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)],
     )
     assert len(tracked_degrees(h)) > 2
-    with pytest.raises(CapabilityError):
-        exact_bit_distribution(h, 3)
+    for g in law_inputs(h):
+        with pytest.raises(CapabilityError):
+            exact_bit_distribution(g, 3)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +282,9 @@ def test_exact_law_telescopes_on_equal_graphs(build, lengths):
     potentials = set(potential(cycle).values())
     ratios = {a / b for a in potentials for b in potentials}
     for length in lengths:
-        dist = exact_bit_distribution(g, length)
+        laws = [exact_bit_distribution(h, length) for h in law_inputs(g)]
+        dist = laws[0]
+        assert laws[1] == dist
         scale = cycle.lambda_exact**length
         for counts in dist.probabilities:
             product = ExactValue()
@@ -370,7 +393,9 @@ def test_half_loop_graph_walks_and_distribution():
     stats = batch.bit_stats()
     assert stats.mean_bits_per_step > 0
     for length in (0, 1, 2, 4, 6):
-        assert exact_bit_distribution(g, length).probabilities == brute_force_distribution(g, length)
+        brute = brute_force_distribution(g, length)
+        for h in law_inputs(g):
+            assert exact_bit_distribution(h, length).probabilities == brute
 
 
 def test_half_loop_graph_engines_agree():

@@ -2,8 +2,9 @@
 """Benchmark the asymptotic variance solve, as a command and in-process.
 
 Commands: one ``python -m nbrw asymvar`` process on hk12 and one on
-w4097-2-12, both above the dense cutoff, so the sparse LU and scipy's
-import are part of the time.  Wall time and peak RSS come from
+w4097-2-12, both above the dense cutoff.  hk12 has equal growth rates, so
+its limit is an exact 0 with nothing solved; on w4097-2-12 the sparse LU
+and scipy's import are part of the time.  Wall time and peak RSS come from
 ``os.wait4``.  The command is forked by a small launcher interpreter that
 imports nothing, because a child's peak RSS starts from its parent's
 resident size at the fork.
@@ -11,8 +12,8 @@ resident size at the fork.
 In-process: the best time of ``asymptotic_variance`` over fresh copies of
 each graph, so λ and the suspended-path layout are built in every run.
 The line gives the darts, the branching vertices (the unknowns of the
-reduced system) and which solve ran: dense up to the cutoff, sparse LU
-above it.  ``--reference`` adds the difference of each value to the D + V
+reduced system) and which solve ran: none on an equal graph, else dense
+up to the cutoff and sparse LU above it.  ``--reference`` adds the difference of each value to the D + V
 split solve that the reduced solve replaced (``tests/_reference_variance.py``;
 several seconds on hk12).
 
@@ -114,7 +115,7 @@ def main() -> None:
     print(f"\n{'graph':>11} {'darts':>7} {'unknowns':>8} {'solve':>6} {'best s':>8}  limit")
     for name, g, best, limit in solves:
         unknowns = int(np.count_nonzero(g.degrees >= 3))
-        solve = "dense" if unknowns <= _DENSE_UNKNOWNS else "sparse"
+        solve = "none" if limit == 0.0 else "dense" if unknowns <= _DENSE_UNKNOWNS else "sparse"
         print(f"{name:>11} {g.dart_count:>7} {unknowns:>8} {solve:>6} {best:>8.4f}  "
               f"{limit!r}{versus_reference(name, g, limit)}")
 

@@ -28,9 +28,10 @@ class PreconditionError(ValueError):
 
 
 class CapabilityError(ValueError):
-    """An exact computation would exceed one of its stated limits: the
-    exact bit law handles at most two distinct branching degrees, and the
-    maximum-mean cycle search at most 2**16 table cells."""
+    """A computation would exceed one of its stated limits: the exact bit
+    law handles at most two distinct branching degrees, the maximum-mean
+    cycle search at most 2**16 table cells, and the float variance solve
+    must leave a strict graph's limit above 0."""
 
 
 class IrreducibilityVerdict(str, Enum):

@@ -129,9 +129,7 @@ def cmd_analyze(args) -> int:
     if args.with_variance:
         from .variance import asymptotic_variance
 
-        # equal rates: the cycle criterion's potential makes f a coboundary,
-        # so the bit total telescopes and its variance is exactly 0
-        variance = 0.0 if result.equal else asymptotic_variance(g)
+        variance = asymptotic_variance(g)
 
     if args.json:
         report.update(result.to_json())

@@ -17,7 +17,9 @@ into an explicit violating cycle (counterexample).
 Both run on integer vectors: log outdeg(e) and D log L (D darts) are
 exponent vectors over the few primes dividing the degrees, so each
 criterion is one vectorised integer comparison over all paths or arcs.
-``ExactValue`` appears only in what is reported.
+The path criterion and the improving-cycle search read them summed per
+suspended path, on its first dart.  ``ExactValue`` appears only in what is
+reported.
 """
 
 from __future__ import annotations
@@ -206,6 +208,19 @@ class ConditionVerdict:
         return payload
 
 
+def _path_rows(g: Graph) -> np.ndarray:
+    """The exponent row of outdeg(P) * indeg(P) on the first dart of each
+    suspended path P, and 0 on every other dart: a sum of these rows over
+    whole paths is the sum of 2 |P| log g(P), the path balance values."""
+    ex = _exponents(g)
+    paths = g.suspended_paths
+    first = paths.order[paths.start]
+    rows = np.zeros_like(ex.rows)
+    # indeg of a dart is outdeg of its reverse
+    rows[first] = ex.rows[paths.anchor[first]] + ex.rows[g.dart_reverse[first]]
+    return rows
+
+
 def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     """Exact test of outdeg(P) * indeg(P) = L**(2|P|) for every path.
 
@@ -215,13 +230,9 @@ def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     """
     require_nb_irreducible(g)
     lam = _lambda(g)
-    ex = _exponents(g)
     paths = g.suspended_paths
-    first = paths.order[paths.start]
-    last = paths.order[paths.start + paths.length - 1]
-    # indeg of a dart is outdeg of its reverse
-    balance = g.dart_count * (ex.rows[last] + ex.rows[g.dart_reverse[first]])
-    balance -= (2 * paths.length)[:, None] * ex.total
+    balance = g.dart_count * _path_rows(g)[paths.order[paths.start]]
+    balance -= (2 * paths.length)[:, None] * _exponents(g).total
     bad = np.flatnonzero((balance != 0).any(axis=1))
     if bad.size:
         worst = int(bad[np.argmin(paths.smallest[bad])])
@@ -383,45 +394,13 @@ def _assert_nb_cycle(g: Graph, cycle: list[int]) -> None:
         raise ConsistencyError("constructed witness is not a closed non-backtracking walk")
 
 
-def path_growth_function(g: Graph) -> list[ExactValue]:
-    """Per-dart balance value of the suspended path containing the dart."""
-    values: list[Optional[ExactValue]] = [None] * g.dart_count
-    for path in suspended_path_decomposition(g):
-        for d in path.darts:
-            values[d] = path.g_value
-    return values  # type: ignore[return-value]
-
-
 # --- improving-cycle search ---------------------------------------------------
 #
-# f is one integer row per dart (its exponents over ``primes``, scaled by the
-# lcm of their denominators), so a mean of f is a row sum over a dart count.
+# The search sums ``_path_rows`` only over unions of whole suspended paths of
+# g (subgraph paths, pruned chains, components, cycles), so each mean that it
+# compares, a row sum over a dart count, is twice the log of a mean of g(P).
 
 _MAX_MEAN_CELLS = 2**16  # of Karp's table in the maximum-mean fallback
-
-
-def _dart_rows(g: Graph, f: list[ExactValue]) -> tuple[tuple[int, ...], np.ndarray]:
-    """``(primes, rows)`` of f, once f is checked to hold one ``ExactValue``
-    per dart, constant on suspended paths and reversal-symmetric."""
-    from math import lcm
-
-    if len(f) != g.dart_count:
-        raise ValueError("f must assign a value to every dart")
-    for d, value in enumerate(f):
-        if not isinstance(value, ExactValue):
-            raise ValueError(f"f[{d}] is {value!r}, not an ExactValue")
-    ids = {value: i for i, value in enumerate(dict.fromkeys(f))}
-    which = np.array([ids[value] for value in f], dtype=np.int64)
-    if (which != which[g.suspended_paths.anchor]).any() or (which != which[g.dart_reverse]).any():
-        raise ValueError("f must be constant on suspended paths and reversal-symmetric")
-    exponents = [value.exponents for value in ids]
-    primes = tuple(sorted({p for e in exponents for p in e}))
-    scale = lcm(*(q.denominator for e in exponents for q in e.values()))
-    table = np.array([[int(e.get(p, 0) * scale) for p in primes] for e in exponents], dtype=object)
-    # comparing two means forms sum * count - sum * count, below 2 D**2 max|row|
-    if 2 * g.dart_count**2 * int(np.abs(table).max(initial=0)) < _INT64_BOUND:
-        table = table.astype(np.int64)
-    return primes, table[which]
 
 
 def _best_component(g: Graph, live: np.ndarray, primes: tuple[int, ...], rows: np.ndarray):
@@ -453,35 +432,34 @@ def _best_component(g: Graph, live: np.ndarray, primes: tuple[int, ...], rows: n
     return kept, sums[best], counts[best]
 
 
-def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
-    """Peel suspended paths until a cycle with above-average f remains.
+def find_improving_cycle(g: Graph) -> list[int]:
+    """Peel suspended paths until a cycle with above-average g(P) remains.
 
-    ``f`` must hold one :class:`ExactValue` per dart, constant on suspended
-    paths and reversal-symmetric (the shape produced by
-    :func:`path_growth_function`); anything else raises ``ValueError``.
+    Each dart of a suspended path P carries g(P) = (outdeg(P) indeg(P)) **
+    (1 / (2 |P|)), the value that the path criterion compares with lambda.
     Repeatedly removes a suspended path of the current subgraph (a mask
-    over the edges) whose geometric mean of ``f`` is at most the
-    subgraph's, the first by leading dart after which the mean does not
-    drop; prunes to minimum degree two; keeps the connected component with
-    the largest mean (ties to the smallest dart); and stops when only a
-    cycle is left, returned from its smallest dart.  The returned
-    non-backtracking cycle C satisfies, exactly,
+    over the edges) whose geometric mean of g is at most the subgraph's,
+    the first by leading dart after which the mean does not drop; prunes to
+    minimum degree two; keeps the connected component with the largest
+    mean (ties to the smallest dart); and stops when only a cycle is left,
+    returned from its smallest dart.  The returned non-backtracking cycle C
+    satisfies, exactly,
 
-        geometric_mean(f over C) >= geometric_mean(f over all darts),
+        geometric_mean(g over C) >= geometric_mean(g over all darts),
 
-    strictly when some suspended path of ``g`` falls strictly below the
-    global mean.
+    strictly when some suspended path of the graph falls strictly below the
+    global mean.  Means are compared exactly, as integer exponent rows.
 
     When every removal loses ground (above-average darts stranded on a
     bridge), the guarantee is met by a cycle of maximum mean instead:
     Karp's dynamic program with its table kept at the first dart of each
     suspended path, (D + 1) * (number of paths) cells of one integer row
-    over the primes of ``f`` and a back link.  Above 2**16 cells it raises
-    :class:`~nbrw.operators.CapabilityError` (a ``ValueError``) before building
-    the table.
+    over the primes of the degrees and a back link.  Above 2**16 cells it
+    raises :class:`~nbrw.operators.CapabilityError` (a ``ValueError``)
+    before building the table.
     """
     require_nb_irreducible(g)
-    primes, rows = _dart_rows(g, f)
+    primes, rows = _exponents(g).primes, _path_rows(g)
     tail, head, edge = g.dart_tail, g.dart_head, g.dart_edge
     live = np.ones(len(g.edges), dtype=bool)
     total, count = rows.sum(axis=0), g.dart_count  # the current mean is total / count
@@ -528,24 +506,26 @@ def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
         else:
             break
 
-    cycle = _max_mean_cycle(g, f)
+    cycle = _max_mean_cycle(g)
     balance = rows[cycle].sum(axis=0) * g.dart_count - rows.sum(axis=0) * len(cycle)
     if exponent_sign(primes, balance.tolist()) < 0:
         raise ConsistencyError("no cycle reaches the global mean")
     return cycle
 
 
-def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
-    """Cycle of maximum geometric f-mean in the transition digraph.
+def _max_mean_cycle(g: Graph) -> list[int]:
+    """Cycle of maximum geometric mean of g(P) in the transition digraph.
 
-    Karp's dynamic program: best[k][v] is the largest f-row sum over walks
-    of k arcs from a fixed dart to dart v (the arc leaving u adds f[u]),
-    and the maximum mean is max_v min_k (best[D][v] - best[k][v]) / (D - k).
-    A walk has one way on inside a suspended path, so the table is kept at
-    the first dart b of each path only, and the dart j steps into b's path
-    has best[k][.] = best[k - j][b] + j f(b): its Karp term is b's with
-    D - j in place of D.  Every cycle on the walk realizing the largest
-    term attains the maximum.  All comparisons are exact.
+    Karp's dynamic program: best[k][v] is the largest row sum over walks
+    of k arcs from a fixed dart to dart v, and the maximum mean is
+    max_v min_k (best[D][v] - best[k][v]) / (D - k).  A walk has one way on
+    inside a suspended path, and the arc leaving a path's first dart adds
+    the whole path's row (``_path_rows``), so the table is kept at the
+    first dart b of each path only: the dart j steps into b's path has
+    best[k][.] = best[k - j][b] + row(b), with row(b) the same for every k,
+    so its Karp term is b's with D - j in place of D.  Every cycle on the
+    walk realizing the largest term attains the maximum.  All comparisons
+    are exact.
     """
     paths = g.suspended_paths
     cells = (g.dart_count + 1) * len(paths.start)
@@ -553,9 +533,8 @@ def _max_mean_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
         raise CapabilityError(f"a maximum-mean cycle search needs {cells} table cells, more than {_MAX_MEAN_CELLS}")
     from functools import cmp_to_key
 
-    primes, rows = _dart_rows(g, f)
-    d = g.dart_count
-    weight = (rows * (paths.dist + 1)[:, None]).tolist()  # at a path's first dart, f over the path
+    primes, d = _exponents(g).primes, g.dart_count
+    weight = _path_rows(g).tolist()
     length, end = (paths.dist + 1).tolist(), paths.anchor.tolist()
     head, reverse, successor = g.dart_head.tolist(), g.dart_reverse.tolist(), g.chain_successor.tolist()
     offsets, flat = (a.tolist() for a in g.out_dart_table)

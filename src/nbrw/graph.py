@@ -71,12 +71,6 @@ class Graph:
         self._out_darts_offsets = np.zeros(vertex_count + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self._out_darts_offsets[1:])
 
-    def out_darts(self, vertex: int) -> list[int]:
-        """Indices of darts whose tail is ``vertex``, ascending."""
-        lo = self._out_darts_offsets[vertex]
-        hi = self._out_darts_offsets[vertex + 1]
-        return [int(d) for d in self._out_darts_flat[lo:hi]]
-
     @property
     def out_dart_table(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(offsets, flat)`` of the darts leaving each vertex, ascending."""

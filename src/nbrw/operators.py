@@ -87,10 +87,6 @@ class FactoredNbOperator:
     def shape(self) -> tuple[int, int]:
         return (len(self.tail), len(self.tail))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.tail)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.min() < 0:
             return self @ np.maximum(x, 0.0) - self @ np.maximum(-x, 0.0)

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import _lambda
+from .conditions import _lambda, check_suspended_path_condition
 from .graph import Graph
-from .operators import build_transition_matrix, require_nb_irreducible
+from .operators import CapabilityError, build_transition_matrix, require_nb_irreducible
 
 # Pinned systems up to this many unknowns are solved dense, in two n x n
 # float arrays (18.9 MB each here) and without scipy's 0.4 s import.  On a
@@ -93,7 +93,10 @@ def _pinned_solve(rows, cols, data, rhs) -> np.ndarray:
 def asymptotic_variance(g: Graph) -> float:
     """Limit of the normalized bit-total variance of stationary walks.
 
-    Solves the Poisson equation x_e - (P x)_e = f_e on the branching
+    The limit is exactly 0 when the suspended-path criterion holds (rho =
+    lambda): the centred bit values are then a coboundary, so the bit total
+    telescopes, and nothing is solved.  Otherwise the limit is positive,
+    from the Poisson equation x_e - (P x)_e = f_e solved on the branching
     vertices.  With c = log2(lambda), A(e) the anchor of dart e and L(e)
     its distance (``g.suspended_paths``), k(e) = outdeg(e) and y_w the sum
     of x over the darts leaving vertex w:
@@ -111,8 +114,11 @@ def asymptotic_variance(g: Graph) -> float:
     one equation per branching vertex.  Scaled by the vertex degrees that
     system has zero row sums and no positive entry off the diagonal, so
     pinning its first unknown to 0 makes it nonsingular.  x then follows on
-    every dart in O(D).
+    every dart in O(D).  A limit that rounding leaves at or below 0 raises
+    :class:`~nbrw.operators.CapabilityError`.
     """
+    if check_suspended_path_condition(g).holds:
+        return 0.0
     f = centered_bit_values(g)
     c = _lambda(g).log2()
     d = g.dart_count
@@ -156,7 +162,10 @@ def asymptotic_variance(g: Graph) -> float:
     # x's constant drops out of f'(2x - f) since sum(f) = 0; centring x keeps
     # the rounding of sum(f) out of the result, and one sum cancels less
     x -= x.mean()
-    return float((f * (2.0 * x - f)).sum()) / d
+    limit = float((f * (2.0 * x - f)).sum()) / d
+    if not limit > 0.0:
+        raise CapabilityError(f"float64 leaves the variance limit of a strict graph at {limit!r}, not above 0")
+    return limit
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ Kept verbatim (apart from imports) as the oracle that
 against: the same dart list where this search ends by peeling, and the
 same exact mean where it falls back to the maximum-mean cycle.  The exact
 :func:`geometric_mean` that the means are taken with moved here verbatim
-from ``nbrw.exact``, which no longer needs it.
+from ``nbrw.exact``, and :func:`path_growth_function`, the one ``f`` that
+the package's search reads (as integer rows, without taking ``f``), moved
+here verbatim from ``nbrw.conditions``; neither module needs them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from nbrw.conditions import ConsistencyError, suspended_path_decomposition
 from nbrw.exact import ExactValue
 from nbrw.graph import Graph, build_graph
 from nbrw.operators import require_nb_irreducible
+
+
+def path_growth_function(g: Graph) -> list[ExactValue]:
+    """Per-dart balance value of the suspended path containing the dart."""
+    values: list[Optional[ExactValue]] = [None] * g.dart_count
+    for path in suspended_path_decomposition(g):
+        for d in path.darts:
+            values[d] = path.g_value
+    return values  # type: ignore[return-value]
 
 
 def geometric_mean(values: list[ExactValue]) -> ExactValue:

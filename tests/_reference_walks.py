@@ -28,6 +28,12 @@ from nbrw.operators import require_nb_irreducible
 from nbrw.walks import ExactBitDistribution, _walk_tables
 
 
+def out_darts(g: Graph, vertex: int) -> list[int]:
+    """Indices of darts whose tail is ``vertex``, ascending."""
+    offsets, flat = g.out_dart_table
+    return flat[offsets[vertex]:offsets[vertex + 1]].tolist()
+
+
 def dart_transitions(g: Graph, dart_index: int) -> list[int]:
     """Darts f with tail(f) = head(e) and f != reverse(e), ascending by index.
 
@@ -36,7 +42,7 @@ def dart_transitions(g: Graph, dart_index: int) -> list[int]:
     reverse and is therefore excluded from its own continuations.
     """
     reverse = int(g.dart_reverse[dart_index])
-    return [f for f in g.out_darts(int(g.dart_head[dart_index])) if f != reverse]
+    return [f for f in out_darts(g, int(g.dart_head[dart_index])) if f != reverse]
 
 
 def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:
@@ -50,7 +56,7 @@ def count_nb_walks(g: Graph, dart_index: int, length: int) -> int:
         raise ValueError("length must be non-negative")
     if not (0 <= dart_index < g.dart_count):
         raise ValueError("dart index out of range")
-    leaving = [g.out_darts(v) for v in range(g.vertex_count)]
+    leaving = [out_darts(g, v) for v in range(g.vertex_count)]
     head, reverse = g.dart_head.tolist(), g.dart_reverse.tolist()
     x = [1] * g.dart_count
     for _ in range(length):
@@ -77,7 +83,7 @@ def enumerate_nb_walks(g: Graph, dart_index: int, length: int) -> int:
         total = 0
         head = int(g.dart_head[e])
         rev = int(g.dart_reverse[e])
-        for f in g.out_darts(head):
+        for f in out_darts(g, head):
             if f != rev:
                 total += walk(f, remaining - 1)
         return total

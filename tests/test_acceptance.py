@@ -250,7 +250,7 @@ def test_acceptance_10_variance_dichotomy():
         limit = asymptotic_variance(g)
         if verdict.equal:
             equal_count += 1
-            ok = ok and abs(limit) <= 1e-9
+            ok = ok and limit == 0.0
         else:
             strict_count += 1
             ok = ok and limit > 1e-6

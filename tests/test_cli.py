@@ -475,7 +475,21 @@ def test_asymvar_k4_zero(tmp_path, capsys):
     run_cli(capsys, "gen", "complete", "--n", "4", "-o", str(path))
     code, out, _ = run_cli(capsys, "asymvar", str(path))
     assert code == 0
-    assert abs(json.loads(out)["limit"]) <= 1e-12
+    assert json.loads(out)["limit"] == 0.0
+
+
+@pytest.mark.parametrize("command", [["asymvar"], ["analyze", "--with-variance"]], ids=["asymvar", "analyze"])
+def test_strict_variance_not_above_zero_exit_2(k4e_file, capsys, monkeypatch, command):
+    import numpy as np
+
+    from nbrw import variance
+
+    # centred bit values of 0 make the strict k4e's computed limit exactly 0
+    monkeypatch.setattr(variance, "centered_bit_values", lambda g: np.zeros(g.dart_count))
+    code, out, err = run_cli(capsys, command[0], k4e_file, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: float64 leaves the variance limit of a strict graph at 0.0, not above 0\n"
 
 
 def test_gen_hk_matches_wheel_parameters(tmp_path, capsys):
@@ -601,12 +615,13 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=
         (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, False),
         (["pdf", "{k4e}", "--len", "5"], 0, False),
         (["asymvar", "{k4e}"], 0, False),
+        (["asymvar", "{w523}"], 0, False),  # the variance is exactly 0, with nothing solved
         (["asymvar", "{k4e}", "--truncate", "8"], 0, False),
         (["analyze", "{k4e}", "--with-variance"], 1, False),
         # one more branching vertex than the dense solve takes
         (["asymvar", "{wide}"], 0, True),
     ],
-    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "asymvar-truncated",
+    ids=["gen", "analyze", "analyze-variance-equal", "walk", "pdf", "asymvar", "asymvar-equal", "asymvar-truncated",
          "analyze-variance-strict", "asymvar-above-dense-cutoff"],
 )
 def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, expected_code, sparse_solve):

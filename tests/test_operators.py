@@ -31,7 +31,7 @@ from _reference_walks import count_nb_walks, enumerate_nb_walks
 
 def test_b_matrix_k4e(k4e):
     b = factored_nb_operator(k4e)
-    assert b.dimension == 10
+    assert b.shape == (10, 10)
     m = reference.operator_csr(k4e, b)
     assert m.nnz == 16  # six darts with two continuations, four with one
     assert set(m.data) == {1.0}

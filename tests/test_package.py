@@ -18,7 +18,7 @@ PUBLIC_NAMES = sorted(
     complete_bipartite_graph complete_graph cover_growth_rate distribution_csv equal_growth_wheel
     equal_growth_wheel_parameters exact_bit_distribution factored_nb_operator find_improving_cycle
     format_graph_text growth_verdict histogram_csv interpolation_matrix is_nb_irreducible
-    k4_minus_edge load_graph nb_perron parse_graph_text path_growth_function perron run_walks
+    k4_minus_edge load_graph nb_perron parse_graph_text perron run_walks
     save_graph subdivide suspended_path_decomposition tracked_degrees truncated_variance
     variance_report wheel_graph""".split()
 )

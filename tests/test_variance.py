@@ -279,7 +279,7 @@ def test_dichotomy_on_corpus():
 def test_dichotomy_equal_branch_families(k4, w523):
     for g in (k4, w523, complete_bipartite_graph(3, 4)):
         assert growth_verdict(g).equal
-        assert abs(asymptotic_variance(g)) <= 1e-9
+        assert asymptotic_variance(g) == 0.0
 
 
 def test_variance_report_json(k4e):

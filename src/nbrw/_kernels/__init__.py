@@ -1,6 +1,6 @@
 """Kernel selection: the C extension ``_walk`` if built (``setup.py``
-compiles ``_walk.c`` with any C compiler), the numpy fallback otherwise.
-Both produce identical output.
+compiles ``_walk.c`` with any C compiler, without numpy), else the numpy
+fallback, imported only then.  Both produce identical output.
 
 Set NBRW_PURE_PYTHON=1 to force the fallback (used by the benchmark and
 the equivalence tests).
@@ -9,8 +9,6 @@ the equivalence tests).
 from __future__ import annotations
 
 import os
-
-from . import fallback
 
 try:
     from . import _walk as _compiled
@@ -37,5 +35,7 @@ def get_kernel(engine: str | None = None):
             raise RuntimeError("compiled kernel requested but the extension is not built")
         return "compiled", _compiled.sample_counts
     if engine == "python":
+        from . import fallback
+
         return "python", fallback.sample_counts
     raise ValueError(f"unknown engine {engine!r}")

@@ -32,6 +32,7 @@ def sample_counts(seed, first_sample, length, out_flat, dart_table, value_index,
 
 
 def _sample_counts(seed, first_sample, length, out_flat, dart_table, value_index, out_counts, out_end):
+    out_counts, out_end = np.asarray(out_counts), np.asarray(out_end)  # views of any writable buffers
     n_samples = out_counts.shape[0]
     n_darts = np.uint64(len(out_flat))
     run = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + _SEED_TWEAK)

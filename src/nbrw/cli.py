@@ -7,9 +7,9 @@ failed precondition or a rho bracket that rounding keeps wider than
 ``--tol``, 64 for usage errors.
 
 Each command imports the modules it runs: ``gen`` writes the families'
-edge lists and ``pdf`` runs the exact law on the parsed edge list, both
-without numpy, ``graph`` or ``operators``, and only ``analyze`` and
-``asymvar`` load the criteria and json.
+edge lists, and ``pdf`` and ``walk`` on the compiled kernel read the parsed
+edge list, all without numpy, ``graph`` or ``operators``; only ``analyze``
+and ``asymvar`` load the criteria and json.
 """
 
 from __future__ import annotations
@@ -211,11 +211,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    from ._text import parse_text
     from .walks import histogram_csv, run_walks
 
     workers = _effective_workers(args.workers)
-    g = _load_graph_arg(args.input)
-    batch = run_walks(g, args.length, args.samples, args.seed, workers=workers)
+    batch = run_walks(parse_text(_read_input(args.input)), args.length, args.samples, args.seed, workers=workers)
     stats = batch.bit_stats()
     print(f"length: {stats.length}")
     print(f"samples: {stats.sample_count}")

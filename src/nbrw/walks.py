@@ -11,8 +11,8 @@ count vector) states with big-integer walk counts; each state's
 probability has the closed form  count / (dart_count * prod(degree**count)).
 Each dart keeps one dict from count vector, as one integer key, to walk
 count, so an equal graph, whose bit total telescopes, stores a few states
-per dart at any length.  The exact law reads only the edge list, without
-numpy; the sampling functions import numpy where they run.
+per dart at any length.  The exact law and the compiled sampler read only
+the edge list, without numpy; the numpy fallback imports it where it runs.
 """
 
 from __future__ import annotations
@@ -20,14 +20,16 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from collections import Counter
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _rng
 from ._text import HALF_LOOP, CapabilityError, EdgeList, IrreducibilityVerdict, PreconditionError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
     from .graph import Graph
@@ -38,8 +40,7 @@ def tracked_degrees(g: Graph) -> tuple[int, ...]:
     return tuple(sorted({d - 1 for d in g.degrees.tolist() if d > 2}))  # every vertex of degree > 2 is a head
 
 
-@dataclass(frozen=True)
-class BitStats:
+class BitStats(NamedTuple):
     """Sample statistics of the total bit consumption of length-l walks.
 
     ``variance_of_bits`` is the unbiased sample variance of the total;
@@ -56,42 +57,58 @@ class BitStats:
 
 
 class WalkBatch:
-    """Result of a batch run: per-sample branch-count vectors.
-
-    All statistics derive from exact integer aggregates of the count
-    matrix, so they are identical for any worker count or engine.
+    """Result of a batch run: per-sample branch-count vectors and end darts,
+    as numpy views made on each read.  All statistics derive from the exact
+    histogram of the count vectors, so they are identical for any worker
+    count or engine.
     """
 
-    def __init__(self, g: Graph, length: int, seed: int, degrees: tuple[int, ...],
-                 counts: np.ndarray, end_darts: np.ndarray, engine: str):
+    def __init__(self, g: Graph | EdgeList, length: int, seed: int, degrees: tuple[int, ...],
+                 counts, end_darts, engine: str):
         self.length = length
         self.seed = seed
         self.degrees = degrees
-        self.counts = counts
-        self.end_darts = end_darts
         self.engine = engine
-        self.dart_count = g.dart_count
+        self._counts, self._end_darts, self._edges = counts, end_darts, g.edges
+
+    @property
+    def counts(self) -> np.ndarray:
+        import numpy as np
+
+        return np.asarray(self._counts)
+
+    @property
+    def end_darts(self) -> np.ndarray:
+        import numpy as np
+
+        return np.asarray(self._end_darts)
+
+    @property
+    def dart_count(self) -> int:
+        return sum(1 if kind == HALF_LOOP else 2 for *_, kind in self._edges)
 
     @property
     def sample_count(self) -> int:
-        return self.counts.shape[0]
+        return len(self._counts)
+
+    @cached_property
+    def _histogram(self) -> dict[tuple[int, ...], int]:
+        flat = memoryview(self._counts).cast("B").cast("q").tolist()
+        return dict(sorted(Counter(zip(*[iter(flat)] * len(self.degrees))).items()))  # a row per sample
 
     def bit_stats(self) -> BitStats:
         n = self.sample_count
         if n < 2:
             raise PreconditionError("variance needs at least 2 samples")
         logs = [math.log2(v) for v in self.degrees]
-        # each moment sums n products of two counts: past 2**63 int64 would wrap, so use Python ints
-        exact = n * int(self.counts.max(initial=0)) ** 2 >= 2**63
-        counts = self.counts.astype(object if exact else "int64")
-        s1 = [int(x) for x in counts.sum(axis=0)]
-        m2 = counts.T @ counts
+        rows = self._histogram.items()
+        s1 = [sum(c[a] * k for c, k in rows) for a in range(len(logs))]
         total_bits = sum(l * s for l, s in zip(logs, s1))
         variance = 0.0
         for a, la in enumerate(logs):
             for b, lb in enumerate(logs):
-                central = Fraction(n * int(m2[a, b]) - s1[a] * s1[b], n)
-                variance += la * lb * float(central)
+                central = n * sum(c[a] * c[b] * k for c, k in rows) - s1[a] * s1[b]
+                variance += la * lb * (central / n)  # int / int rounds correctly
         variance /= n - 1
         mean_per_step = total_bits / n / self.length if self.length else 0.0
         sem = math.sqrt(max(variance, 0.0) / n) / self.length if self.length else 0.0
@@ -106,12 +123,7 @@ class WalkBatch:
 
     def histogram(self) -> dict[tuple[int, ...], int]:
         """Occurrences of each branch-count vector, in ascending order."""
-        import numpy as np
-
-        rows = self.counts[np.lexsort(self.counts.T[::-1])]  # the first column is the primary key
-        starts = np.flatnonzero(np.append(True, (rows[1:] != rows[:-1]).any(axis=1)))
-        runs = np.diff(np.append(starts, len(rows)))
-        return dict(zip(map(tuple, rows[starts].tolist()), runs.tolist()))
+        return dict(self._histogram)
 
     def end_dart_counts(self) -> np.ndarray:
         import numpy as np
@@ -150,8 +162,35 @@ def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[in
     return g._walk_table_cache
 
 
+def _compiled_tables(g: Graph | EdgeList) -> tuple[memoryview, memoryview, memoryview, tuple[int, ...]]:
+    """:func:`_walk_tables` as read-only buffers, which the compiled kernel
+    builds from each dart's tail, without numpy; cached on a ``Graph``.
+    Raises :class:`PreconditionError` unless the graph is NB-irreducible."""
+    tables = getattr(g, "_walk_buffer_cache", None)
+    if tables is None:
+        from array import array
+
+        from ._kernels._walk import walk_tables
+
+        tails, halves = [], []
+        for a, b, kind in g.edges:
+            if kind == HALF_LOOP:
+                halves.append(a)
+            else:
+                tails += a, b
+        verdict, *tables = walk_tables(g.vertex_count, len(tails), array("q", tails + halves))
+        if verdict != IrreducibilityVerdict.OK:
+            raise PreconditionError(f"requires NB-irreducibility, got {verdict}")
+        out_flat, dart_table, value_index, degrees = map(memoryview, tables)
+        tables = (out_flat.cast("q"), dart_table.cast("q", (5, len(out_flat) // 8)), value_index.cast("i"),
+                  tuple(degrees.cast("q")))
+        if not isinstance(g, tuple):  # an EdgeList is a tuple, and holds no attributes
+            g._walk_buffer_cache = tables
+    return tables
+
+
 def run_walks(
-    g: Graph,
+    g: Graph | EdgeList,
     length: int,
     samples: int,
     seed: int,
@@ -160,6 +199,7 @@ def run_walks(
 ) -> WalkBatch:
     """Sample ``samples`` independent walks and collect branch counts.
 
+    ``g`` is a ``Graph`` or a parsed :class:`~nbrw._text.EdgeList`.
     Sampling is embarrassingly parallel: sample s always uses stream s of
     the seed, and workers write disjoint slices, so the result does not
     depend on ``workers`` at all (it only affects speed).  The samples are
@@ -167,26 +207,34 @@ def run_walks(
     process may run on (``os.sched_getaffinity``), one thread each, and
     each thread is pinned to a CPU of its own.
     """
-    import numpy as np
-
     from ._kernels import get_kernel
-    from .operators import require_nb_irreducible
 
-    require_nb_irreducible(g)
+    name, kernel = get_kernel(engine)
+    if name == "compiled":
+        out_flat, dart_table, value_index, degrees = _compiled_tables(g)
+    else:
+        from .graph import Graph
+        from .operators import require_nb_irreducible
+
+        g = g if isinstance(g, Graph) else Graph(g.vertex_count, g.edges)
+        require_nb_irreducible(g)
+        out_flat, dart_table, value_index, degrees = _walk_tables(g)
     if not 0 <= length < 2**63:
         raise ValueError("length must be non-negative and below 2**63")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    out_flat, dart_table, value_index, degrees = _walk_tables(g)
-    counts = np.zeros((samples, len(degrees)), dtype=np.int64)
-    end_darts = np.zeros(samples, dtype=np.int32)
-    name, kernel = get_kernel(engine)
+    try:
+        counts = memoryview(bytearray(8 * samples * len(degrees))).cast("q", (samples, len(degrees)))
+        end_darts = memoryview(bytearray(4 * samples)).cast("i")
+    except OverflowError:  # more bytes than an address space has
+        raise MemoryError from None
 
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
-    bounds = np.linspace(0, samples, min(workers, len(cpus), samples) + 1, dtype=np.int64)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    parts = min(workers, len(cpus), samples)
+    bounds = [samples * i // parts for i in range(parts + 1)]
+    chunks = list(zip(bounds, bounds[1:]))  # none empty, as parts <= samples
 
     seed_word = seed & _rng.MASK64
 
@@ -231,8 +279,7 @@ def run_walks(
 # --- exact distribution -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactBitDistribution:
+class ExactBitDistribution(NamedTuple):
     """Exact law of the branch-count vector of a length-l stationary walk.
 
     ``probabilities`` maps each reachable count vector (one entry per
@@ -246,6 +293,8 @@ class ExactBitDistribution:
 
     def _expectation(self, value) -> Fraction:
         """Exact E[value(counts)], summed in integers over one common denominator."""
+        from fractions import Fraction
+
         den = math.lcm(*(p.denominator for p in self.probabilities.values()))
         return Fraction(sum(p.numerator * (den // p.denominator) * value(c) for c, p in self.probabilities.items()), den)
 
@@ -322,6 +371,8 @@ def exact_bit_distribution(g: Graph | EdgeList, length: int) -> ExactBitDistribu
     Supports at most two distinct branching degrees; raises
     :class:`CapabilityError` beyond that.
     """
+    from fractions import Fraction
+
     verdict, reverse, out = _dart_lists(g.vertex_count, g.edges)
     if verdict is not IrreducibilityVerdict.OK:
         raise PreconditionError(f"requires NB-irreducibility, got {verdict.value}")

@@ -9,6 +9,7 @@ import pytest
 
 import nbrw
 from nbrw import check_cycle_condition, parse_graph_text
+from nbrw._kernels import available_engines
 from nbrw.cli import main
 from nbrw.variance import _DENSE_UNKNOWNS
 
@@ -358,6 +359,12 @@ def test_walk_len_beyond_int64_exit_64(k4e_file, capsys, monkeypatch, length):
     assert "--len" in capsys.readouterr().err
 
 
+def test_walk_samples_beyond_the_address_space_exit_2(k4e_file, capsys):
+    code, _, err = run_cli(capsys, "walk", k4e_file, "--len", "3", "--samples", str(10**20))
+    assert code == 2
+    assert err == "error: out of memory\n"
+
+
 def test_walk_thread_env_cap(k4e_file, capsys, monkeypatch):
     monkeypatch.setenv("NBRW_THREADS", "1")
     code, out, _ = run_cli(capsys, "walk", k4e_file, "--len", "10", "--samples", "100", "--workers", "8")
@@ -402,6 +409,25 @@ def test_pdf_hostile_header_exit_2_before_any_per_vertex_table(tmp_path, capsys)
     tracemalloc.start()
     try:
         code, _, err = run_cli(capsys, "pdf", str(path), "--len", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == "error: requires NB-irreducibility, got not_connected\n"
+    assert peak < 1_000_000
+
+
+def test_walk_hostile_header_exit_2_before_any_per_vertex_table(tmp_path, capsys, monkeypatch):
+    # the compiled kernel decides irreducibility on the edge list, so one edge
+    # cannot make it build a table for each of 2**22 vertices
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
+    monkeypatch.delenv("NBRW_PURE_PYTHON", raising=False)
+    path = tmp_path / "hostile.txt"
+    path.write_text("nbgraph 4194304\ne 0 1\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "walk", str(path), "--len", "3", "--samples", "10")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -459,6 +485,41 @@ def test_pdf_runs_without_numpy(k4e_file, tmp_path, capsys, argv, expected_code)
         runs.append((proc.returncode, proc.stdout, proc.stderr, csv.read_text() if csv.exists() else None))
     assert runs[0] == runs[1]
     assert runs[0][0] == expected_code
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["{k4e}", "--len", "50", "--samples", "2000", "--seed", "7", "--csv", "{csv}"], 0),
+        (["{loopy}", "--len", "40", "--samples", "3000", "--seed", "77", "--workers", "2", "--csv", "{csv}"], 0),
+        (["{cycle}", "--len", "3", "--samples", "10"], 2),
+        (["{malformed}", "--len", "3", "--samples", "10"], 2),
+        (["{k4e}", "--len", "-1", "--samples", "10"], 2),
+        (["{k4e}", "--len", "3", "--samples", "0"], 2),
+    ],
+    ids=["k4e-csv", "loops-workers", "cycle", "malformed", "negative-len", "no-samples"],
+)
+def test_walk_runs_without_numpy(k4e_file, tmp_path, argv, expected_code):
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
+    files = {"k4e": k4e_file, "loopy": tmp_path / "loopy.txt", "cycle": tmp_path / "cycle.txt",
+             "malformed": tmp_path / "malformed.txt"}
+    files["loopy"].write_text("nbgraph 3\ne 0 1\ne 0 1\ne 1 2\ne 2 0\ne 2 2\nhl 0\n")
+    files["cycle"].write_text("nbgraph 5\n" + "".join(f"e {i} {(i + 1) % 5}\n" for i in range(5)))
+    files["malformed"].write_text("nbgraph 3\ne 0 1\nzzz\n")
+    src = str(Path(nbrw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NBRW_PURE_PYTHON", None)
+    runs = []
+    for mode in ("block", "open"):
+        csv = tmp_path / f"{mode}.csv"
+        args = [a.format(csv=csv, **files) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, mode, "walk", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr, csv.read_text() if csv.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == expected_code
+    assert expected_code or "engine: compiled" in runs[0][1]
 
 
 def test_asymvar_json(k4e_file, capsys):
@@ -656,16 +717,20 @@ print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr
 """
 
 
+# the compiled kernel builds its own tables from the edge list; the numpy
+# fallback walks on a Graph
+_WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if "compiled" in available_engines()
+               else ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"])
+
+
 @pytest.mark.parametrize(
     "argv, expected_code, loaded",
     [
         (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "numpy"]),
         (["analyze", "{k4e}", "--with-variance"], 1,
          ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "nbrw.variance", "numpy"]),
-        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0,
-         ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"]),
-        (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0,
-         ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"]),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, _WALK_LOADS),
+        (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0, _WALK_LOADS),
         (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks"]),
         (["gen", "k4e"], 0, ["nbrw.families"]),
     ],

@@ -3,17 +3,20 @@ import os
 import random
 import sys
 import threading
+from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from nbrw import build_graph, k4_minus_edge, run_walks, walks, wheel_graph
+from nbrw import build_graph, is_nb_irreducible, k4_minus_edge, run_walks, walks, wheel_graph
 from nbrw import _kernels as kernels
 from nbrw._kernels import available_engines, get_kernel
 from nbrw._rng import MASK64, draw, mix64, stream_key
+from nbrw._text import EdgeList
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
-from _corpus import graphs_with_loops, random_nb_irreducible, scalar_walk_counts
+from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible, scalar_walk_counts
 from _reference_walks import sample_walk
 
 
@@ -108,13 +111,78 @@ def test_compiled_kernel_rejects_bad_buffers(k4e):
             kernel(1, 0, 5, *args)
 
 
-def test_walks_count_more_than_127_branching_degrees():
+def _as_array(a, code):
+    """``a``'s values in an array.array, or a memoryview of ``a``'s shape over one."""
+    flat = array(code, a.ravel().tolist())
+    return flat if a.ndim == 1 else memoryview(flat).cast("B").cast(code, a.shape)
+
+
+def test_compiled_kernel_reads_any_buffer(k4e):
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
+    _, kernel = get_kernel("compiled")
+    out_flat, dart_table, value_index, degrees = walks._walk_tables(k4e)
+    counts, ends = scalar_walk_counts(k4e, 17, 3, range(2, 8))
+    for convert in (lambda a, code: a, _as_array, lambda a, code: memoryview(bytearray(a.tobytes())).cast(code, a.shape)):
+        got_counts, got_ends = convert(np.zeros_like(counts), "q"), convert(np.zeros_like(ends), "i")
+        kernel(3, 2, 17, convert(out_flat, "q"), convert(dart_table, "q"), convert(value_index, "i"),
+               got_counts, got_ends)
+        assert np.asarray(got_counts).tolist() == counts.tolist()
+        assert np.asarray(got_ends).tolist() == ends.tolist()
+    read_only = memoryview(bytes(counts.nbytes)).cast("q", counts.shape)
+    with pytest.raises(ValueError, match="out_counts"):
+        kernel(3, 2, 17, out_flat, dart_table, value_index, read_only, np.zeros_like(ends))
+
+
+def _hub_graph():
     # a cycle through 137 vertices, vertex i topped up with loops to degree
     # 3 + i: outdegs 2..138 give 137 tracked degrees, more than int8 indexes
     edges = [(i, (i + 1) % 137) for i in range(137)]
     for i in range(137):
         edges += [(i, i, WHOLE_LOOP)] * ((i + 1) // 2) + [(i, i, HALF_LOOP)] * ((i + 1) % 2)
-    g = build_graph(137, edges)
+    return build_graph(137, edges)
+
+
+def test_compiled_tables_match_the_graph_tables():
+    # the C builder decides what is_nb_irreducible decides, and on every
+    # irreducible graph builds _walk_tables(g) row for row, from the tails
+    # of a Graph and from the edge list that the CLI parses
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
+    from nbrw._kernels._walk import walk_tables
+
+    rng = random.Random(4242)
+    corpus = [build_graph(0, []), build_graph(1, []), build_graph(1, [(0, 0, HALF_LOOP)]),
+              build_graph(1, [(0, 0, WHOLE_LOOP)]), build_graph(1, [(0, 0, WHOLE_LOOP)] * 2),
+              build_graph(1, [(0, 0, HALF_LOOP)] * 3), build_graph(3, [(0, 1)]), _hub_graph()]
+    for _ in range(500):
+        lo, hi = rng.choice([(1, 5), (2, 2), (2, 5), (3, 4)])
+        corpus.append(pairing_graph(rng, [rng.randint(lo, hi) for _ in range(rng.randint(2, 9))], half_loop_prob=0.3))
+    verdicts = Counter()
+    for g in corpus:
+        paired = 2 * sum(kind != HALF_LOOP for *_, kind in g.edges)
+        verdict, *tables = walk_tables(g.vertex_count, paired, g.dart_tail)
+        assert verdict == is_nb_irreducible(g).value, g
+        verdicts[verdict] += 1
+        if verdict != "ok":
+            with pytest.raises(walks.PreconditionError, match=f"got {verdict}$"):
+                walks._compiled_tables(EdgeList(g.vertex_count, list(g.edges)))
+            continue
+        out_flat, dart_table, value_index, degrees = walks._walk_tables(g)
+        raw = [*tables[:3], tuple(memoryview(tables[3]).cast("q"))]
+        for got in (raw, walks._compiled_tables(EdgeList(g.vertex_count, list(g.edges)))):
+            assert np.frombuffer(got[0], np.int64).tolist() == out_flat.tolist(), g
+            assert np.frombuffer(got[1], np.int64).reshape(5, -1).tolist() == dart_table.tolist(), g
+            assert np.frombuffer(got[2], np.int32).tolist() == value_index.tolist(), g
+            assert got[3] == degrees, g
+    assert min(verdicts.values()) >= 5 and len(verdicts) == 4, verdicts
+    for tails, paired in (([0, 1, 2], 4), ([0, 1], 1), ([0, 3], 2), ([0, -1], 2)):
+        with pytest.raises(ValueError, match="tails"):
+            walk_tables(3, paired, array("q", tails))
+
+
+def test_walks_count_more_than_127_branching_degrees():
+    g = _hub_graph()
     assert walks.tracked_degrees(g) == tuple(range(2, 139))
     counts, ends = scalar_walk_counts(g, 10, 3, range(100))
     for engine in available_engines():

@@ -16,8 +16,10 @@ from nbrw import (
     build_transition_matrix,
     centered_bit_values,
     complete_bipartite_graph,
+    complete_graph,
     equal_growth_wheel,
     growth_verdict,
+    subdivide,
     truncated_variance,
     variance_report,
     wheel_graph,
@@ -261,10 +263,13 @@ def test_asymptotic_variance_memory_hk8():
 
 
 def test_dichotomy_on_corpus():
+    # the random graphs all come out strict, so equal ones are added: balanced
+    # wheels, w523 and a subdivided K4
     rng = random.Random(2020)
+    corpus = [random_nb_irreducible(rng) for _ in range(50)]
+    corpus += [equal_growth_wheel(k) for k in (4, 5, 6)] + [wheel_graph(5, 2, 3), subdivide(complete_graph(4), 3)]
     equal_seen = strict_seen = 0
-    for _ in range(50):
-        g = random_nb_irreducible(rng)
+    for g in corpus:
         verdict = growth_verdict(g, rel_tol=1e-10)
         limit = asymptotic_variance(g)
         if verdict.equal:
@@ -273,6 +278,7 @@ def test_dichotomy_on_corpus():
         else:
             strict_seen += 1
             assert limit > 1e-6
+    assert equal_seen >= 5
     assert strict_seen >= 10
 
 

@@ -123,9 +123,12 @@ class SuspendedPath:
         return base ** Fraction(1, 2 * self.length)
 
 
-def _path(g: Graph, paths: SuspendedPaths, i: int) -> SuspendedPath:
-    """Path i of the graph's path layout."""
-    darts = paths.order[paths.start[i]:paths.start[i] + paths.length[i]].tolist()
+def _path(g: Graph, paths: SuspendedPaths, i: int, successor) -> SuspendedPath:
+    """Path i of the graph's path layout, followed from its first dart
+    along ``successor`` (``g.chain_successor``, as an array or a list)."""
+    darts = [int(g.dart_reverse[paths.last[paths.reverse[i]]])]
+    for _ in range(int(paths.length[i]) - 1):
+        darts.append(int(successor[darts[-1]]))
     return SuspendedPath(darts=tuple(darts), in_degree=g.in_degree(darts[0]), out_degree=g.out_degree(darts[-1]))
 
 
@@ -136,8 +139,9 @@ def suspended_path_decomposition(g: Graph) -> list[SuspendedPath]:
     are returned sorted by their smallest contained dart index.
     """
     require_nb_irreducible(g)
-    paths = g.suspended_paths
-    return [_path(g, paths, i) for i in np.argsort(paths.smallest).tolist()]
+    paths, successor = g.suspended_paths, g.chain_successor.tolist()
+    # darts ascend, so each path first appears at its smallest dart
+    return [_path(g, paths, i, successor) for i in dict.fromkeys(paths.path.tolist())]
 
 
 @dataclass(frozen=True)
@@ -212,12 +216,11 @@ def _path_rows(g: Graph) -> np.ndarray:
     """The exponent row of outdeg(P) * indeg(P) on the first dart of each
     suspended path P, and 0 on every other dart: a sum of these rows over
     whole paths is the sum of 2 |P| log g(P), the path balance values."""
-    ex = _exponents(g)
-    paths = g.suspended_paths
-    first = paths.order[paths.start]
+    ex, paths = _exponents(g), g.suspended_paths
+    out = ex.rows[paths.last]
     rows = np.zeros_like(ex.rows)
-    # indeg of a dart is outdeg of its reverse
-    rows[first] = ex.rows[paths.anchor[first]] + ex.rows[g.dart_reverse[first]]
+    # path i begins at rev(last[reverse[i]]), whose indeg is outdeg(last[reverse[i]])
+    rows[g.dart_reverse[paths.last[paths.reverse]]] = out + out[paths.reverse]
     return rows
 
 
@@ -231,12 +234,13 @@ def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     require_nb_irreducible(g)
     lam = _lambda(g)
     paths = g.suspended_paths
-    balance = g.dart_count * _path_rows(g)[paths.order[paths.start]]
-    balance -= (2 * paths.length)[:, None] * _exponents(g).total
-    bad = np.flatnonzero((balance != 0).any(axis=1))
-    if bad.size:
-        worst = int(bad[np.argmin(paths.smallest[bad])])
-        return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=_path(g, paths, worst))
+    first = g.dart_reverse[paths.last[paths.reverse]]
+    balance = g.dart_count * _path_rows(g)[first] - (2 * paths.length)[:, None] * _exponents(g).total
+    bad = (balance != 0).any(axis=1)[paths.path]
+    if bad.any():
+        # darts ascend, so the first bad dart is the smallest on any bad path
+        worst = int(paths.path[np.argmax(bad)])
+        return ConditionVerdict(holds=False, lambda_exact=lam, witness_path=_path(g, paths, worst, g.chain_successor))
     return ConditionVerdict(holds=True, lambda_exact=lam)
 
 
@@ -528,7 +532,7 @@ def _max_mean_cycle(g: Graph) -> list[int]:
     are exact.
     """
     paths = g.suspended_paths
-    cells = (g.dart_count + 1) * len(paths.start)
+    cells = (g.dart_count + 1) * len(paths.last)
     if cells > _MAX_MEAN_CELLS:
         raise CapabilityError(f"a maximum-mean cycle search needs {cells} table cells, more than {_MAX_MEAN_CELLS}")
     from functools import cmp_to_key
@@ -544,7 +548,8 @@ def _max_mean_cycle(g: Graph) -> list[int]:
     # table[k][b]: the best row sum of a walk of k darts into the first dart
     # b of a path, and the first dart of the path before (-1 at the start)
     table: list[dict[int, tuple[list[int], int]]] = [{} for _ in range(d + 1)]
-    table[0][int(paths.order[0])] = ([0] * len(primes), -1)
+    # the walk starts at the smallest dart that begins a path: paths begin at the reverses of last darts
+    table[0][int(g.dart_reverse[paths.last].min())] = ([0] * len(primes), -1)
     for k, cells_k in enumerate(table):
         for a, (value, _) in cells_k.items():
             if k + length[a] <= d:

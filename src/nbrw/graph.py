@@ -21,17 +21,21 @@ from ._text import (HALF_LOOP, NORMAL, WHOLE_LOOP, GraphError, GraphParseError, 
 
 @dataclass(frozen=True)
 class SuspendedPaths:
-    """The suspended paths as arrays: ``order`` lists the darts path by
-    path, each along the walk; path i occupies ``order[start[i]:start[i] +
-    length[i]]``, ends at its one dart with outdeg other than 1, and
-    ``smallest[i]`` is its smallest dart.  Per dart, ``anchor[e]`` is the
-    last dart of e's path, the first with outdeg other than 1 reached along
-    single successors, and ``dist[e]`` the number of steps from e to it."""
+    """The kernel graph: the vertices of degree other than 2, joined by the
+    suspended paths, indexed by their last dart (outdeg other than 1).
 
-    order: np.ndarray
-    start: np.ndarray
+    Per path i: ``last[i]``, ``length[i]`` darts, ``reverse[i]``, the
+    reversed path (an involution), and ``vertex[i]``, head(last[i]) numbered
+    among the ``vertex_count`` vertices of degree other than 2, ascending.
+    Path i begins at rev(last[reverse[i]]).  Per dart e: ``path[e]``,
+    ``anchor[e] = last[path[e]]`` and ``dist[e]``, the steps from e to it."""
+
+    last: np.ndarray
     length: np.ndarray
-    smallest: np.ndarray
+    reverse: np.ndarray
+    vertex: np.ndarray
+    vertex_count: int
+    path: np.ndarray
     anchor: np.ndarray
     dist: np.ndarray
 
@@ -100,39 +104,34 @@ class Graph:
 
     @cached_property
     def suspended_paths(self) -> SuspendedPaths:
-        """The darts laid out path by path (see :class:`SuspendedPaths`),
-        built on first use, so read-only; defined for every graph with no
-        cycle component.
+        """The path layout (see :class:`SuspendedPaths`), built on first use,
+        so read-only; defined for every graph with no cycle component.
 
-        Paths start at darts with indeg other than 1 (indeg > 1 on an
-        nb-irreducible graph) and extend while outdeg is 1.  A dart with
-        indeg 1 has one predecessor, the dart whose only successor it is;
-        pointer doubling over predecessors finds every dart's path start and
-        position in O(D log D).
+        A dart with outdeg 1 moves to its one successor and every other dart
+        stays put; pointer doubling along those moves finds each dart's
+        anchor and distance in O(D log D).
         """
-        d = self.dart_count
-        is_start = self.degrees[self.dart_tail] != 2
-        chain = np.flatnonzero(self.chain_successor >= 0)
-        ancestor = np.arange(d)
-        ancestor[self.chain_successor[chain]] = chain  # the one predecessor of each dart with indeg 1
-        position = (~is_start).astype(np.int64)
-        for _ in range(d.bit_length() + 1):
-            if is_start[ancestor].all():
+        successor = self.chain_successor
+        is_last = successor < 0
+        anchor = np.where(is_last, np.arange(self.dart_count), successor)
+        dist = (~is_last).astype(np.int64)
+        for _ in range(self.dart_count.bit_length() + 1):
+            if is_last[anchor].all():
                 break
-            position += position[ancestor]
-            ancestor = ancestor[ancestor]
+            dist += dist[anchor]
+            anchor = anchor[anchor]
         else:
             raise GraphError("suspended path did not terminate: the graph has a cycle component")
-        order = np.argsort(ancestor * d + position)
-        start = np.flatnonzero(position[order] == 0)
-        length = np.diff(np.append(start, d))
-        last = np.repeat(start + length - 1, length)  # each place's path end, in path order
-        anchor, dist = np.empty_like(order), np.empty_like(order)
-        anchor[order] = order[last]
-        dist[order] = last - np.arange(d)
-        paths = SuspendedPaths(order, start, length, np.minimum.reduceat(order, start), anchor, dist)
+        last = np.flatnonzero(is_last)
+        path = (np.cumsum(is_last) - 1)[anchor]
+        branching = self.degrees != 2
+        paths = SuspendedPaths(
+            last, np.bincount(path, minlength=len(last)), path[self.dart_reverse[last]],
+            (np.cumsum(branching) - 1)[self.dart_head[last]], int(branching.sum()), path, anchor, dist,
+        )
         for array in vars(paths).values():
-            array.flags.writeable = False
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
         return paths
 
     @cached_property

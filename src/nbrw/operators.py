@@ -231,10 +231,12 @@ def _path_quotient_start(g: Graph, rel_tol: float) -> tuple[np.ndarray, int]:
     over the continuations f of b (Bass's reduction of the Ihara
     determinant), so rho is the z with ``r(M(z)) = 1``.
 
-    The continuations of b_i are the darts leaving head(b_i) except
-    f_i = rev(b_i), so one index i names both, and :func:`_sums_except`
-    applies M(z) in O(branching darts).  The terms ``w_i`` of the f_i form
-    the left Perron vector of M(z) when x is the right one.  So each step
+    x is indexed by path, at the branching dart b_i = ``last[i]``.  The
+    continuations of b_i are the darts leaving ``vertex[i]`` except
+    f_i = rev(b_i), which begins path ``reverse[i]``, ``length[i]`` darts
+    long; so one index i names both, and :func:`_sums_except` applies M(z)
+    in O(paths).  The terms ``w_i`` of the f_i form the left Perron vector
+    of M(z) when x is the right one.  So each step
     is one power step on x, shifted by ``I / z`` (perron's own ``+I`` when
     no vertex has degree two and ``M(z) = B / z``), and one Newton step on
     ``log r = 0`` in log z, with r and its slope from w.
@@ -247,21 +249,15 @@ def _path_quotient_start(g: Graph, rel_tol: float) -> tuple[np.ndarray, int]:
     in z, so the brackets close on rho.
     """
     paths = g.suspended_paths
-    darts = np.flatnonzero(g.chain_successor < 0)
-    index = np.empty(g.dart_count, dtype=np.int64)
-    index[darts] = skip = np.arange(len(darts))
-    starts = g.dart_reverse[darts]
-    vertices, vertex = np.unique(g.dart_head[darts], return_inverse=True)
-    steps = paths.dist[starts] + 1.0
-    anchor = index[paths.anchor[starts]]
+    vertex, steps, skip = paths.vertex, paths.length, np.arange(len(paths.last))
 
-    x = np.ones(len(darts))
+    x = np.ones(len(steps))
     # lambda = exp(mean log outdeg) <= rho; path darts add log 1 = 0
-    z = float(np.exp(np.log(g.degrees[g.dart_head[darts]] - 1.0).sum() / g.dart_count))
+    z = float(np.exp(np.log(g.degrees[g.dart_head[paths.last]] - 1.0).sum() / g.dart_count))
     lo, hi = 0.0, math.inf
     for step in range(1, _QUOTIENT_STEPS + 1):
-        w = x[anchor] * z**-steps
-        y = _sums_except(vertex, w, len(vertices), vertex, skip)
+        w = x[paths.reverse] * z**-steps
+        y = _sums_except(vertex, w, paths.vertex_count, vertex, skip)
         ratios = y / x
         low, high = z * min(1.0, float(ratios.min())), z * max(1.0, float(ratios.max()))
         if high - low <= rel_tol * low / 2:
@@ -273,7 +269,7 @@ def _path_quotient_start(g: Graph, rel_tol: float) -> tuple[np.ndarray, int]:
         z = newton if lo < newton < hi else (lo + hi) / 2
         x = x / z + y
         x /= x.max()
-    start = z**-paths.dist * x[index[paths.anchor]]
+    start = z**-paths.dist * x[paths.path]
     # perron needs a positive start; it repairs any entry that underflowed
     return np.maximum(start, np.finfo(np.float64).tiny), step
 

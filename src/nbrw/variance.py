@@ -96,73 +96,55 @@ def asymptotic_variance(g: Graph) -> float:
     The limit is exactly 0 when the suspended-path criterion holds (rho =
     lambda): the centred bit values are then a coboundary, so the bit total
     telescopes, and nothing is solved.  Otherwise the limit is positive,
-    from the Poisson equation x_e - (P x)_e = f_e solved on the branching
-    vertices.  With c = log2(lambda), A(e) the anchor of dart e and L(e)
-    its distance (``g.suspended_paths``), k(e) = outdeg(e) and y_w the sum
-    of x over the darts leaving vertex w:
+    from the Poisson equation x_e - (P x)_e = f_e solved on the kernel graph
+    ``g.suspended_paths``.  With c = log2(lambda), A(e) and L(e) the anchor
+    and distance of dart e, y_w the sum of x over the darts leaving vertex
+    w, and for path i: b = last[i], k = outdeg(b), j = reverse[i] and
+    u = vertex[i]:
 
-    * a path dart (k = 1) has f_e = -c, so x_e = x_A(e) - c L(e);
-    * a branching dart b with head w pairs with p(b) = A(rev b), an
-      involution (p(b) = b when b is a half-loop or its path turns back
-      at one), and x_b + x_p(b) / k(b) - y_w / k(b) = f_b + c L(rev b) / k(b);
-    * a branching vertex w has y_w = sum over d leaving w of
-      x_A(d) - c L(d).
+    * a path dart (outdeg 1) has f_e = -c, so x_e = x_A(e) - c L(e);
+    * rev(b) begins path j, so x_b + x_last[j] / k - y_u / k = f_b + c (length[i] - 1) / k;
+    * y_u sums x_last[j] - c (length[j] - 1) over the j = reverse[i] with vertex[i] = u.
 
-    Each pair (b, p(b)) is solved through its 2 x 2 block, whose
-    determinant is 1 - 1 / (k(b) k(p(b))), or 1 + 1 / k(b) when p(b) = b;
-    that writes every x_b in the y of the two ends of its path and leaves
-    one equation per branching vertex.  Scaled by the vertex degrees that
-    system has zero row sums and no positive entry off the diagonal, so
-    pinning its first unknown to 0 makes it nonsingular.  x then follows on
-    every dart in O(D).  A limit that rounding leaves at or below 0 raises
+    Each pair (i, j) is solved through its 2 x 2 block, whose determinant
+    is 1 - 1 / (k(i) k(j)), or 1 + 1 / k(i) when j = i (a half-loop, or a
+    path that turns back); that writes x_last[i] in the y of the two ends
+    of path i and leaves one equation per vertex of degree >= 3.  Scaled by
+    the vertex degrees that system has zero row sums and no positive entry
+    off the diagonal, so pinning its first unknown to 0 makes it
+    nonsingular.  x then follows on every dart in O(D).  A limit that
+    rounding leaves at or below 0 raises
     :class:`~nbrw.operators.CapabilityError`.
     """
     if check_suspended_path_condition(g).holds:
         return 0.0
     f = centered_bit_values(g)
     c = _lambda(g).log2()
-    d = g.dart_count
-    head, tail = g.dart_head, g.dart_tail
-    anchor, dist = g.suspended_paths.anchor, g.suspended_paths.dist
-    k = g.out_degree_vector().astype(np.float64)
-    branching = np.flatnonzero(g.degrees >= 3)
-    n = len(branching)
-    unknown = np.empty(g.vertex_count, dtype=np.int64)
-    unknown[branching] = np.arange(n)
+    paths = g.suspended_paths
+    j, u, n = paths.reverse, paths.vertex, paths.vertex_count
+    k = g.out_degree_vector()[paths.last].astype(np.float64)
 
-    # x_b = alpha_b + beta_b y_head(b) + gamma_b y_head(p(b)) on branching darts
-    b = np.flatnonzero(k > 1)
-    rev = g.dart_reverse[b]
-    p = anchor[rev]
-    single = p == b
-    r = np.zeros(d)
-    r[b] = f[b] + c * dist[rev] / k[b]
-    det = np.where(single, 1.0 + 1.0 / k[b], 1.0 - 1.0 / (k[b] * k[p]))
-    alpha, beta, gamma = np.zeros(d), np.zeros(d), np.zeros(d)
-    alpha[b] = np.where(single, r[b], r[b] - r[p] / k[b]) / det
-    beta[b] = 1.0 / (k[b] * det)
-    gamma[b] = np.where(single, 0.0, -beta[b] / k[p])
-    far = np.zeros(d, dtype=np.int64)
-    far[b] = unknown[head[p]]
+    # x_last[i] = alpha_i + beta_i y_u[i] + gamma_i y_u[j[i]] on each path i
+    single = j == np.arange(len(j))
+    r = f[paths.last] + c * (paths.length - 1) / k
+    det = np.where(single, 1.0 + 1.0 / k, 1.0 - 1.0 / (k * k[j]))
+    alpha = np.where(single, r, r - r[j] / k) / det
+    beta = 1.0 / (k * det)
+    gamma = np.where(single, 0.0, -beta / k[j])
 
-    # y_w - sum over d leaving w of x_A(d) = -c sum of L(d): one row per w
-    leaving = np.flatnonzero(g.degrees[tail] >= 3)
-    a = anchor[leaving]
-    row = unknown[tail[leaving]]
+    # one row per vertex: path j = reverse[i] leaves u = vertex[i]
     y = _pinned_solve(
-        np.concatenate([np.arange(n), row, row]),
-        np.concatenate([np.arange(n), unknown[head[a]], far[a]]),
-        np.concatenate([np.ones(n), -beta[a], -gamma[a]]),
-        np.bincount(row, alpha[a] - c * dist[leaving], n),
+        np.concatenate([np.arange(n), u, u]),
+        np.concatenate([np.arange(n), u[j], u]),
+        np.concatenate([np.ones(n), -beta[j], -gamma[j]]),
+        np.bincount(u, alpha[j] - c * (paths.length - 1), n),
     )
 
-    x_branching = np.zeros(d)
-    x_branching[b] = alpha[b] + beta[b] * y[unknown[head[b]]] + gamma[b] * y[far[b]]
-    x = x_branching[anchor] - c * dist
+    x = (alpha + beta * y[u] + gamma * y[u[j]])[paths.path] - c * paths.dist
     # x's constant drops out of f'(2x - f) since sum(f) = 0; centring x keeps
     # the rounding of sum(f) out of the result, and one sum cancels less
     x -= x.mean()
-    limit = float((f * (2.0 * x - f)).sum()) / d
+    limit = float((f * (2.0 * x - f)).sum()) / g.dart_count
     if not limit > 0.0:
         raise CapabilityError(f"float64 leaves the variance limit of a strict graph at {limit!r}, not above 0")
     return limit

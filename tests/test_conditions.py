@@ -413,7 +413,7 @@ def test_max_mean_cycle_refuses_above_its_table_bound():
     from nbrw.conditions import _MAX_MEAN_CELLS, _max_mean_cycle
 
     g = wheel_graph(256, 1, 1)  # 1,024 darts, each one a suspended path
-    assert (g.dart_count + 1) * len(g.suspended_paths.start) > _MAX_MEAN_CELLS
+    assert (g.dart_count + 1) * len(g.suspended_paths.length) > _MAX_MEAN_CELLS
     tracemalloc.start()
     try:
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from nbrw import (
@@ -12,7 +13,7 @@ from nbrw import (
     is_nb_irreducible,
     parse_graph_text,
 )
-from nbrw.graph import HALF_LOOP, WHOLE_LOOP, _is_connected
+from nbrw.graph import HALF_LOOP, NORMAL, WHOLE_LOOP, _is_connected
 from nbrw.walks import _dart_lists, _walk_tables
 
 from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible
@@ -175,19 +176,28 @@ def test_is_nb_irreducible_cases(k4e):
         assert g.irreducibility is is_nb_irreducible(g)
 
 
-def _connected_by_search(g):
-    """Plain depth-first search from vertex 0 over the edge list."""
+def _components_by_search(g):
+    """The vertex sets of the components, by plain depth-first search over the edge list."""
     neighbours = [[] for _ in range(g.vertex_count)]
     for a, b, _ in g.edges:
         neighbours[a].append(b)
         neighbours[b].append(a)
-    seen, stack = ({0}, [0]) if g.vertex_count else (set(), [])
-    while stack:
-        for w in neighbours[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
+    components = []
+    for root in range(g.vertex_count):
+        if any(root in c for c in components):
+            continue
+        seen, stack = {root}, [root]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        components.append(seen)
+    return components
+
+
+def _connected_by_search(g):
+    return len(_components_by_search(g)) <= 1
 
 
 def _seeded_corpus():
@@ -253,6 +263,54 @@ def test_list_irreducibility_matches_the_graph_check_on_the_corpus():
     verdicts = [is_nb_irreducible(g) for g in graphs]
     assert [_dart_lists(g.vertex_count, g.edges)[0] for g in graphs] == verdicts
     assert set(verdicts) == set(IrreducibilityVerdict)
+
+
+def test_suspended_path_layout_invariants():
+    graphs = _seeded_corpus() + graphs_with_loops(random.Random(6161))
+    laid_out = refused = self_reversed = parallel = 0
+    for g in graphs:
+        if any(all(g.degrees[v] == 2 for v in c) for c in _components_by_search(g)):
+            refused += 1
+            with pytest.raises(GraphError, match="the graph has a cycle component"):
+                g.suspended_paths
+            continue
+        laid_out += 1
+        p, n = g.suspended_paths, len(g.suspended_paths.last)
+        assert np.array_equal(p.last, np.flatnonzero(g.out_degree_vector() != 1))
+        assert np.array_equal(p.reverse[p.reverse], np.arange(n))
+        assert np.array_equal(p.length[p.reverse], p.length)
+        assert np.array_equal(p.path[p.last], np.arange(n))
+        assert np.array_equal(p.anchor, p.last[p.path])
+        # dist drops by 1 along the one successor, within one path, and is 0 at the last dart
+        chain = np.flatnonzero(g.chain_successor >= 0)
+        assert np.array_equal(p.dist[chain], p.dist[g.chain_successor[chain]] + 1)
+        assert np.array_equal(p.path[chain], p.path[g.chain_successor[chain]])
+        assert not p.dist[p.last].any()
+        # path i has length[i] darts and begins at rev(last[reverse[i]])
+        assert np.array_equal(np.bincount(p.path, minlength=n), p.length)
+        first = g.dart_reverse[p.last[p.reverse]]
+        assert np.array_equal(p.path[first], np.arange(n))
+        assert np.array_equal(p.dist[first], p.length - 1)
+        branching = np.flatnonzero(g.degrees != 2)
+        assert p.vertex_count == len(branching)
+        assert np.array_equal(branching[p.vertex], g.dart_head[p.last])
+        # a path through a half-loop holds its own reverse
+        halves = np.flatnonzero(g.dart_reverse == np.arange(g.dart_count))
+        assert np.array_equal(p.reverse[p.path[halves]], p.path[halves])
+        self_reversed += int((g.degrees[g.dart_tail[halves]] == 2).any())
+        normal = [tuple(sorted((a, b))) for a, b, kind in g.edges if kind == NORMAL]
+        parallel += len(set(normal)) < len(normal)
+    assert laid_out >= 250 and refused >= 50 and self_reversed >= 20 and parallel >= 100
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges",
+    [(3, [(0, 1), (1, 2), (2, 0)]), (7, K4 + [(4, 5), (5, 6), (6, 4)])],
+    ids=["triangle", "triangle-beside-k4"],
+)
+def test_suspended_paths_refuse_a_cycle_component(vertex_count, edges):
+    with pytest.raises(GraphError, match="the graph has a cycle component"):
+        build_graph(vertex_count, edges).suspended_paths
 
 
 def test_text_format_round_trip(k4e):

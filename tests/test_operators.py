@@ -142,6 +142,13 @@ def test_rho_k4e_and_wheel(k4e, w523):
     assert abs(cover_growth_rate(w523) - math.sqrt(2)) <= 1e-8
 
 
+@pytest.mark.parametrize("n, l1, l2, bound", [(257, 3, 8, 45), (129, 4, 11, 45), (4097, 2, 12, 44)])
+def test_reduced_start_keeps_rho_within_its_matvec_count(n, l1, l2, bound):
+    # 43, 43 and 42 matvecs when written; the margin of 2 absorbs last-ulp
+    # differences of libm between hosts
+    assert nb_perron(wheel_graph(n, l1, l2)).matvecs <= bound
+
+
 def test_rho_requires_irreducible():
     c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(PreconditionError):

@@ -3,8 +3,9 @@
 Line-oriented UTF-8: '#' starts a comment line, the first data line is
 "nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
 means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
-:mod:`nbrw.graph` builds its ``Graph`` on this module; ``nbrw gen`` and
-``nbrw pdf`` use it alone, so it holds the errors and verdicts they report.
+:mod:`nbrw.graph` builds its ``Graph`` on this module; ``nbrw gen``, and
+``nbrw pdf`` and ``nbrw walk`` on the compiled kernel, build no ``Graph``,
+so it holds the errors and verdicts they report.
 """
 
 from enum import Enum

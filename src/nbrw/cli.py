@@ -7,9 +7,9 @@ failed precondition or a rho bracket that rounding keeps wider than
 ``--tol``, 64 for usage errors.
 
 Each command imports the modules it runs: ``gen`` writes the families'
-edge lists, and ``pdf`` and ``walk`` on the compiled kernel read the parsed
-edge list, all without numpy, ``graph`` or ``operators``; only ``analyze``
-and ``asymvar`` load the criteria and json.
+edge lists, and ``pdf`` and ``walk`` read the dart tables that the compiled
+kernel builds from the parsed edge list, all without numpy, ``graph`` or
+``operators``; only ``analyze`` and ``asymvar`` load the criteria and json.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def _effective_workers(requested: int) -> int:
 def _degree_histogram(g: Graph) -> dict[str, int]:
     import numpy as np
 
-    counts = np.bincount(g.degrees)  # degrees are at most 2 * edges, whatever the header says
+    # count the vertices that darts leave; the others, however many the header declares, have degree 0
+    degrees = np.unique(g.dart_tail, return_counts=True)[1]
+    counts = np.bincount(degrees, minlength=1)
+    counts[0] = g.vertex_count - len(degrees)
     return {str(d): int(counts[d]) for d in np.flatnonzero(counts).tolist()}
 
 

@@ -67,18 +67,19 @@ class Graph:
         self.dart_edge = np.concatenate([np.repeat(paired, 2), halves])
         self.dart_count = len(self.dart_tail)
 
-        # a vertex's degree is the number of darts leaving it
-        self.degrees = np.bincount(self.dart_tail, minlength=vertex_count).astype(np.int64)
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The number of darts leaving each vertex.  Like every per-vertex
+        table, built on first use, after :func:`is_nb_irreducible` can
+        refuse a header that the edges cannot connect."""
+        return np.bincount(self.dart_tail, minlength=self.vertex_count).astype(np.int64)
 
-        # darts grouped by tail vertex, each group sorted by dart index
-        self._out_darts_flat = np.argsort(self.dart_tail, kind="stable").astype(np.int64)
-        self._out_darts_offsets = np.zeros(vertex_count + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=self._out_darts_offsets[1:])
-
-    @property
+    @cached_property
     def out_dart_table(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(offsets, flat)`` of the darts leaving each vertex, ascending."""
-        return self._out_darts_offsets, self._out_darts_flat
+        offsets = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=offsets[1:])
+        return offsets, np.argsort(self.dart_tail, kind="stable").astype(np.int64)
 
     def out_degree(self, dart_index: int) -> int:
         """Number of non-backtracking continuations: degree(head) - 1."""
@@ -95,8 +96,9 @@ class Graph:
         """The only successor of each dart whose head has degree two, -1 for
         every other dart.  Built on first use, so read-only."""
         chain = np.flatnonzero(self.degrees[self.dart_head] == 2)
-        first = self._out_darts_offsets[self.dart_head[chain]]
-        a, b = self._out_darts_flat[first], self._out_darts_flat[first + 1]
+        offsets, flat = self.out_dart_table
+        first = offsets[self.dart_head[chain]]
+        a, b = flat[first], flat[first + 1]
         successor = np.full(self.dart_count, -1, dtype=np.int64)
         successor[chain] = np.where(a == self.dart_reverse[chain], b, a)
         successor.flags.writeable = False

@@ -11,8 +11,9 @@ count vector) states with big-integer walk counts; each state's
 probability has the closed form  count / (dart_count * prod(degree**count)).
 Each dart keeps one dict from count vector, as one integer key, to walk
 count, so an equal graph, whose bit total telescopes, stores a few states
-per dart at any length.  The exact law and the compiled sampler read only
-the edge list, without numpy; the numpy fallback imports it where it runs.
+per dart at any length.  The sampler and the exact law read one set of
+dart tables (:func:`_tables`): with the compiled kernel, built in C from
+the edge list, without numpy; with the numpy fallback, off a ``Graph``.
 """
 
 from __future__ import annotations
@@ -189,6 +190,20 @@ def _compiled_tables(g: Graph | EdgeList) -> tuple[memoryview, memoryview, memor
     return tables
 
 
+def _tables(g: Graph | EdgeList, engine: str) -> tuple:
+    """The tables of :func:`_walk_tables` for ``engine``: built by the
+    compiled kernel from the edge list, else off a ``Graph``.  Raises
+    :class:`PreconditionError` unless the graph is NB-irreducible."""
+    if engine == "compiled":
+        return _compiled_tables(g)
+    from .graph import Graph
+    from .operators import require_nb_irreducible
+
+    g = g if isinstance(g, Graph) else Graph(g.vertex_count, g.edges)
+    require_nb_irreducible(g)
+    return _walk_tables(g)
+
+
 def run_walks(
     g: Graph | EdgeList,
     length: int,
@@ -210,15 +225,7 @@ def run_walks(
     from ._kernels import get_kernel
 
     name, kernel = get_kernel(engine)
-    if name == "compiled":
-        out_flat, dart_table, value_index, degrees = _compiled_tables(g)
-    else:
-        from .graph import Graph
-        from .operators import require_nb_irreducible
-
-        g = g if isinstance(g, Graph) else Graph(g.vertex_count, g.edges)
-        require_nb_irreducible(g)
-        out_flat, dart_table, value_index, degrees = _walk_tables(g)
+    out_flat, dart_table, value_index, degrees = _tables(g, name)
     if not 0 <= length < 2**63:
         raise ValueError("length must be non-negative and below 2**63")
     if samples < 1:
@@ -326,43 +333,12 @@ def _sum_of_maps(maps) -> dict[int, int]:
     return total
 
 
-def _dart_lists(vertex_count: int, edges) -> tuple[IrreducibilityVerdict, list[int], list[list[int]]]:
-    """:func:`nbrw.graph.is_nb_irreducible` of an edge list in pure Python, then the
-    reverse of each dart and the darts leaving each vertex, an edge's darts
-    consecutive and a half-loop's one dart its own reverse."""
-    if not 0 < vertex_count <= len(edges) + 1:  # a spanning tree needs V - 1 edges
-        return IrreducibilityVerdict.NOT_CONNECTED, [], []
-    reverse, out, parent = [], [[] for _ in range(vertex_count)], list(range(vertex_count))
-    for a, b, kind in edges:
-        d = len(reverse)
-        out[a].append(d)
-        if kind == HALF_LOOP:
-            reverse.append(d)
-        else:
-            reverse += (d + 1, d)
-            out[b].append(d + 1)
-        while parent[a] != a:  # union-find with path halving
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        parent[a] = b
-    degree = list(map(len, out))
-    if sum(v == root for v, root in enumerate(parent)) > 1:
-        verdict = IrreducibilityVerdict.NOT_CONNECTED
-    elif min(degree) < 2:
-        verdict = IrreducibilityVerdict.MIN_DEGREE_BELOW_2
-    elif max(degree) <= 2:
-        verdict = IrreducibilityVerdict.IS_CYCLE
-    else:
-        verdict = IrreducibilityVerdict.OK
-    return verdict, reverse, out
-
-
 def exact_bit_distribution(g: Graph | EdgeList, length: int) -> ExactBitDistribution:
     """Exact distribution of the branch-count vector by dynamic programming.
 
-    Reads only ``g.vertex_count`` and ``g.edges``, so ``g`` may be a
-    ``Graph`` or a parsed :class:`~nbrw._text.EdgeList`.  Each dart maps the
+    ``g`` may be a ``Graph`` or a parsed :class:`~nbrw._text.EdgeList`; the
+    DP reads the walk tables of the engine that
+    :func:`nbrw._kernels.get_kernel` selects by default.  Each dart maps the
     count vectors of the walks that end at it, keyed
     ``sum(c_i * (length + 1)**i)``, to their number; a step sums the maps
     of each dart's predecessors and adds one degree's place value to every
@@ -373,34 +349,35 @@ def exact_bit_distribution(g: Graph | EdgeList, length: int) -> ExactBitDistribu
     """
     from fractions import Fraction
 
-    verdict, reverse, out = _dart_lists(g.vertex_count, g.edges)
-    if verdict is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"requires NB-irreducibility, got {verdict.value}")
+    from ._kernels import get_kernel
+
+    out_flat, dart_table, _, degrees = _tables(g, get_kernel()[0])
     if length < 0:
         raise ValueError("length must be non-negative")
-    degrees = tuple(sorted({len(darts) - 1 for darts in out if len(darts) > 2}))
-    k = len(degrees)
-    if k > 2:
-        raise CapabilityError(
-            f"exact distribution supports at most 2 distinct branching degrees, graph has {k}: {degrees}"
-        )
+    if len(degrees) > 2:
+        raise CapabilityError("exact distribution supports at most 2 distinct branching degrees, "
+                              f"graph has {len(degrees)}: {degrees}")
 
-    n = len(reverse)
+    out = out_flat.tolist()
+    n = len(out)
+    rows = memoryview(dart_table).cast("B").cast("q")  # the rows one after another, read in place
+    first, skip, outdeg = (rows[i * n : (i + 1) * n] for i in range(3))
     radix = length + 1  # no count exceeds length, so the key sum(c_i * radix**i) is one-to-one
     step = {d: radix**i for i, d in enumerate(degrees)}
 
     # the predecessors of f are the darts entering tail(f) except reverse(f),
-    # and each of them branches deg(tail f) - 1 ways; where tail(f) has degree
-    # two that leaves one predecessor, which does not branch, so f takes its
-    # map as it is
+    # and each of them branches outdeg ways.  A dart with outdeg 1 is the one
+    # predecessor of its one successor, which takes its map as it is.  The
+    # darts leaving a branching vertex are out[k : k + d + 1], with k = first[b]
+    # and d = outdeg[b] for any dart b entering it; reverse(f) is out[skip[f]]
     predecessor = [0] * n  # darts leaving a branching vertex are set below
-    branching = []
-    for darts in out:
-        if len(darts) == 2:
-            e, f = darts
-            predecessor[e], predecessor[f] = reverse[f], reverse[e]
+    groups = {}
+    for e, (k, at_reverse, d) in enumerate(zip(first, skip, outdeg)):
+        if d == 1:
+            predecessor[out[k + (k >= at_reverse)]] = e
         else:
-            branching.append((step[len(darts) - 1], [(f, reverse[f]) for f in darts]))
+            groups[k] = d
+    branching = [(step[d], [(f, out[skip[f]]) for f in out[k : k + d + 1]]) for k, d in groups.items()]
 
     maps = [{0: 1}] * n  # per dart: count-vector key -> walks ending there; shared, never changed
     for _ in range(length):

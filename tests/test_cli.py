@@ -9,7 +9,7 @@ import pytest
 
 import nbrw
 from nbrw import check_cycle_condition, parse_graph_text
-from nbrw._kernels import available_engines
+from nbrw._kernels import available_engines, get_kernel
 from nbrw.cli import main
 from nbrw.variance import _DENSE_UNKNOWNS
 
@@ -436,6 +436,40 @@ def test_walk_hostile_header_exit_2_before_any_per_vertex_table(tmp_path, capsys
     assert peak < 1_000_000
 
 
+_HOSTILE_REFUSED = "error: requires NB-irreducibility, got not_connected\n"
+
+
+@pytest.mark.parametrize(
+    "argv, pure, out, err",
+    [
+        (["analyze"], False, "graph: 4194304 vertices, 1 edges, 2 darts\ndegrees: deg 0: 4194302, deg 1: 2\n"
+         "nb_irreducible: not_connected\nerror: graph is not NB-irreducible: not_connected\n", ""),
+        (["analyze", "--json"], False, '{"graph": {"vertices": 4194304, "edges": 1, "darts": 2, "degree_histogram": '
+         '{"0": 4194302, "1": 2}}, "nb_irreducible": "not_connected", "error": "graph is not NB-irreducible: '
+         'not_connected"}\n', ""),
+        (["asymvar"], False, "", _HOSTILE_REFUSED),
+        (["pdf", "--len", "3"], True, "", _HOSTILE_REFUSED),
+        (["walk", "--len", "3", "--samples", "10"], True, "", _HOSTILE_REFUSED),
+    ],
+    ids=["analyze", "analyze-json", "asymvar", "pdf-pure", "walk-pure"],
+)
+def test_hostile_header_exit_2_before_any_per_vertex_array(tmp_path, capsys, monkeypatch, argv, pure, out, err):
+    # a Graph builds its per-vertex arrays only after the header has passed
+    # the V <= E + 1 test, so one edge cannot make it allocate 2**22 entries
+    if pure:
+        monkeypatch.setenv("NBRW_PURE_PYTHON", "1")
+    path = tmp_path / "hostile.txt"
+    path.write_text("nbgraph 4194304\ne 0 1\n")
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, argv[0], str(path), *argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, out, err)
+    assert peak < 5_000_000
+
+
 # Runs ``python -m nbrw`` with numpy unimportable when the first argument is "block".
 _NUMPY_BLOCKED = """
 import runpy, sys
@@ -467,6 +501,8 @@ runpy.run_module("nbrw", run_name="__main__", alter_sys=True)
     ids=["k4e-csv", "k4e-stdout", "w532-csv", "w532-stdout", "three-degrees", "cycle", "malformed", "negative-len"],
 )
 def test_pdf_runs_without_numpy(k4e_file, tmp_path, capsys, argv, expected_code):
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
     files = {"k4e": k4e_file, "w532": tmp_path / "w532.txt", "three": tmp_path / "three.txt",
              "cycle": tmp_path / "cycle.txt", "malformed": tmp_path / "malformed.txt"}
     run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "3", "--l2", "2", "-o", str(files["w532"]))
@@ -476,6 +512,7 @@ def test_pdf_runs_without_numpy(k4e_file, tmp_path, capsys, argv, expected_code)
     files["malformed"].write_text("nbgraph 3\ne 0 1\nzzz\n")
     src = str(Path(nbrw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NBRW_PURE_PYTHON", None)
     runs = []
     for mode in ("block", "open"):
         csv = tmp_path / f"{mode}.csv"
@@ -717,9 +754,9 @@ print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr
 """
 
 
-# the compiled kernel builds its own tables from the edge list; the numpy
-# fallback walks on a Graph
-_WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if "compiled" in available_engines()
+# the selected engine's tables serve walk and pdf: the compiled kernel builds
+# them from the edge list, the numpy fallback off a Graph
+_WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if get_kernel()[0] == "compiled"
                else ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"])
 
 
@@ -731,7 +768,7 @@ _WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if "compiled" in available_engine
          ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "nbrw.variance", "numpy"]),
         (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, _WALK_LOADS),
         (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0, _WALK_LOADS),
-        (["pdf", "{k4e}", "--len", "5"], 0, ["nbrw.walks"]),
+        (["pdf", "{k4e}", "--len", "5"], 0, _WALK_LOADS),
         (["gen", "k4e"], 0, ["nbrw.families"]),
     ],
     ids=["analyze", "analyze-variance", "walk", "walk-workers", "pdf", "gen"],

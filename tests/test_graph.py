@@ -14,7 +14,8 @@ from nbrw import (
     parse_graph_text,
 )
 from nbrw.graph import HALF_LOOP, NORMAL, WHOLE_LOOP, _is_connected
-from nbrw.walks import _dart_lists, _walk_tables
+from nbrw._kernels import available_engines
+from nbrw.walks import _walk_tables
 
 from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible
 from _reference_walks import dart_transitions
@@ -254,15 +255,25 @@ _V = IrreducibilityVerdict
 def test_list_irreducibility_matches_the_graph_check_on_named_cases(vertex_count, edges, verdict):
     g = build_graph(vertex_count, edges)
     assert is_nb_irreducible(g) is verdict
-    assert _dart_lists(g.vertex_count, g.edges)[0] is verdict
+    assert _compiled_verdict(g) is verdict
 
 
 def test_list_irreducibility_matches_the_graph_check_on_the_corpus():
-    # the pure-Python check of the exact law must agree with the numpy check everywhere
+    # the C check on the edge list must agree with the numpy check everywhere
     graphs = _seeded_corpus() + graphs_with_loops(random.Random(6161))
     verdicts = [is_nb_irreducible(g) for g in graphs]
-    assert [_dart_lists(g.vertex_count, g.edges)[0] for g in graphs] == verdicts
+    assert [_compiled_verdict(g) for g in graphs] == verdicts
     assert set(verdicts) == set(IrreducibilityVerdict)
+
+
+def _compiled_verdict(g):
+    """The verdict of the compiled kernel's table builder, from each dart's tail."""
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
+    from nbrw._kernels._walk import walk_tables
+
+    paired = 2 * sum(kind != HALF_LOOP for *_, kind in g.edges)
+    return IrreducibilityVerdict(walk_tables(g.vertex_count, paired, g.dart_tail)[0])
 
 
 def test_suspended_path_layout_invariants():

@@ -263,6 +263,47 @@ def test_exact_distribution_rejects_three_degrees():
             exact_bit_distribution(g, 3)
 
 
+def test_exact_law_is_the_same_from_both_table_builders(monkeypatch):
+    # the law reads the tables of the engine that get_kernel selects: built
+    # in C from the edge list, or off a Graph in numpy under NBRW_PURE_PYTHON
+    if "compiled" not in available_engines():
+        pytest.skip("compiled kernel not built")
+    rng = random.Random(2323)
+    corpus = [wheel_graph(5, 2, 3), wheel_graph(5, 3, 2), half_loop_barbell()]
+    corpus += [random_nb_irreducible(rng, max_vertices=8, half_loop_prob=0.5) for _ in range(30)]
+    corpus += graphs_with_loops(rng, 8)
+    corpus = [g for g in corpus if len(tracked_degrees(g)) <= 2]
+    kinds = {kind for g in corpus for *_, kind in g.edges}
+    assert {HALF_LOOP, WHOLE_LOOP} <= kinds and len(corpus) >= 25, len(corpus)
+
+    def law(h, length, pure):
+        if pure:
+            monkeypatch.setenv("NBRW_PURE_PYTHON", "1")
+        else:
+            monkeypatch.delenv("NBRW_PURE_PYTHON", raising=False)
+        return exact_bit_distribution(h, length)
+
+    for g in corpus:
+        h, edge_list = law_inputs(g)
+        for length in (0, 1, 3, 9):
+            laws = [law(x, length, pure) for x in (h, edge_list) for pure in (False, True)]
+            assert laws[1:] == laws[:1] * 3, (g, length)
+        assert hasattr(h, "_walk_buffer_cache") and hasattr(h, "_walk_table_cache")  # both builders ran
+
+    # the refusals, in order: irreducibility, then the length, then the degrees
+    three = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)]
+    leafy, h = build_graph(7, three + [(0, 6)]), build_graph(6, three)
+    for pure in (False, True):
+        for x in law_inputs(leafy):
+            with pytest.raises(PreconditionError, match="^requires NB-irreducibility, got min_degree_below_2$"):
+                law(x, -1, pure)
+        for x in law_inputs(h):
+            with pytest.raises(ValueError, match="^length must be non-negative$"):
+                law(x, -1, pure)
+            with pytest.raises(CapabilityError, match="graph has 3: \\(2, 3, 4\\)$"):
+                law(x, 3, pure)
+
+
 @pytest.mark.parametrize(
     "build, lengths",
     [

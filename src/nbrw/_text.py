@@ -3,9 +3,11 @@
 Line-oriented UTF-8: '#' starts a comment line, the first data line is
 "nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
 means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
-:mod:`nbrw.graph` builds its ``Graph`` on this module; ``nbrw gen``, and
-``nbrw pdf`` and ``nbrw walk`` on the compiled kernel, build no ``Graph``,
-so it holds the errors and verdicts they report.
+The darts are numbered here (:func:`number_darts`), for a ``Graph`` of
+:mod:`nbrw.graph` and the compiled kernel's tables alike.  ``nbrw gen``,
+``nbrw pdf`` and ``nbrw walk`` on the compiled kernel, and ``analyze`` and
+``asymvar`` on a header that the sizes refute (:func:`cannot_connect`),
+build no ``Graph``, so this module holds the errors and verdicts they report.
 """
 
 from enum import Enum
@@ -45,6 +47,33 @@ class IrreducibilityVerdict(str, Enum):
 class EdgeList(NamedTuple):  # a parsed graph, with every edge checked
     vertex_count: int
     edges: list[tuple[int, int, str]]
+
+
+def number_darts(edges) -> tuple[list[int], list[int], int]:
+    """Each dart's tail and edge, and ``paired``, of ``(a, b, kind)`` edges:
+    the i-th normal edge or whole-loop gives darts 2i, tail a, and 2i + 1,
+    tail b, each the other's reverse; the half-loop darts follow from
+    ``paired`` on, each its own reverse."""
+    tail, edge, half_tail, half_edge = [], [], [], []
+    for i, (a, b, kind) in enumerate(edges):
+        if kind == HALF_LOOP:
+            half_tail.append(a)
+            half_edge.append(i)
+        else:
+            tail += a, b
+            edge += i, i
+    return tail + half_tail, edge + half_edge, len(tail)
+
+
+def cannot_connect(vertex_count: int, edge_count: int) -> bool:
+    """Whether the sizes decide ``not_connected``: no vertex, or fewer than a spanning tree's V - 1 edges."""
+    return vertex_count == 0 or vertex_count > edge_count + 1
+
+
+def require_irreducible(verdict: str) -> None:
+    """Raise :class:`PreconditionError` unless ``verdict`` is ``ok``."""
+    if verdict != IrreducibilityVerdict.OK:
+        raise PreconditionError(f"requires NB-irreducibility, got {IrreducibilityVerdict(verdict).value}")
 
 
 class GraphParseError(GraphError):

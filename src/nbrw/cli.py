@@ -9,7 +9,8 @@ failed precondition or a rho bracket that rounding keeps wider than
 Each command imports the modules it runs: ``gen`` writes the families'
 edge lists, and ``pdf`` and ``walk`` read the dart tables that the compiled
 kernel builds from the parsed edge list, all without numpy, ``graph`` or
-``operators``; only ``analyze`` and ``asymvar`` load the criteria and json.
+``operators``; only ``analyze`` and ``asymvar`` load them and the
+criteria, once the parsed edge list has passed the size test.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .conditions import GrowthVerdict
-    from .graph import Graph
 
 EXIT_EQUAL = 0
 EXIT_STRICT = 1
@@ -66,12 +67,6 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_graph_arg(path: str) -> Graph:
-    from .graph import parse_graph_text
-
-    return parse_graph_text(_read_input(path))
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -91,33 +86,31 @@ def _effective_workers(requested: int) -> int:
     return max(1, requested)
 
 
-def _degree_histogram(g: Graph) -> dict[str, int]:
-    import numpy as np
-
+def _graph_summary(vertex_count: int, edge_count: int, tails: list[int]) -> dict:
+    """The ``graph`` block of the analyze report, from each dart's tail."""
     # count the vertices that darts leave; the others, however many the header declares, have degree 0
-    degrees = np.unique(g.dart_tail, return_counts=True)[1]
-    counts = np.bincount(degrees, minlength=1)
-    counts[0] = g.vertex_count - len(degrees)
-    return {str(d): int(counts[d]) for d in np.flatnonzero(counts).tolist()}
+    degrees = Counter(tails)
+    counts = Counter(degrees.values())
+    counts[0] = vertex_count - len(degrees)
+    histogram = {str(d): counts[d] for d in sorted(counts) if counts[d]}
+    return {"vertices": vertex_count, "edges": edge_count, "darts": len(tails), "degree_histogram": histogram}
 
 
 def cmd_analyze(args) -> int:
     import json
 
-    from .conditions import growth_verdict
-    from .graph import IrreducibilityVerdict
+    from ._text import IrreducibilityVerdict, cannot_connect, number_darts, parse_text
 
-    g = _load_graph_arg(args.input)
-    verdict = g.irreducibility
-    report: dict = {
-        "graph": {
-            "vertices": g.vertex_count,
-            "edges": len(g.edges),
-            "darts": g.dart_count,
-            "degree_histogram": _degree_histogram(g),
-        },
-        "nb_irreducible": verdict.value,
-    }
+    vertex_count, edges = parse_text(_read_input(args.input))
+    if cannot_connect(vertex_count, len(edges)):
+        tails, verdict = number_darts(edges)[0], IrreducibilityVerdict.NOT_CONNECTED
+    else:
+        from .conditions import growth_verdict
+        from .graph import Graph
+
+        g = Graph(vertex_count, edges)
+        tails, verdict = g.dart_tail.tolist(), g.irreducibility
+    report: dict = {"graph": _graph_summary(vertex_count, len(edges), tails), "nb_irreducible": verdict.value}
     if verdict is not IrreducibilityVerdict.OK:
         report["error"] = f"graph is not NB-irreducible: {verdict.value}"
         if args.json:
@@ -179,37 +172,31 @@ def _print_analysis(report: dict, result: GrowthVerdict, variance: float | None)
     print(f"verdict: {result.status}")
 
 
+# per family of ``gen``: its options (integers, but for the base graph ``input``), its edge
+# list from nbrw.families and the options' values in order, and its comment, formatted with them
+_GEN_FAMILIES = {
+    "wheel": (("n", "l1", "l2"), lambda f, n, l1, l2: f.wheel_edges(n, l1, l2), "wheel n={n} l1={l1} l2={l2}"),
+    "hk": (("k",), lambda f, k: f.wheel_edges(*f.equal_growth_wheel_parameters(k)), "hk k={k}"),
+    "subdivide": (("m", "input"), lambda f, m, base: f.subdivided_edges(*base, m), "subdivision m={m}"),
+    "k4e": ((), lambda f: f.K4_MINUS_EDGE, "K4 minus an edge"),
+    "complete": (("n",), lambda f, n: f.complete_edges(n), "complete n={n}"),
+    "bipartite": (("a", "b"), lambda f, a, b: f.complete_bipartite_edges(a, b), "complete bipartite a={a} b={b}"),
+}
+
+
 def cmd_gen(args) -> int:
     from . import families
     from ._text import format_text, parse_text
 
-    if args.family == "subdivide":
-        base = parse_text(_read_input(args.input))  # a bad input is invalid input, not a usage error
+    options, build, comment = _GEN_FAMILIES[args.family]
+    # the base graph is parsed outside the try: a bad input is invalid input, not a usage error
+    values = [parse_text(_read_input(args.input)) if o == "input" else getattr(args, o) for o in options]
     try:
-        if args.family == "wheel":
-            graph = families.wheel_edges(args.n, args.l1, args.l2)
-            comment = f"wheel n={args.n} l1={args.l1} l2={args.l2}"
-        elif args.family == "hk":
-            graph = families.wheel_edges(*families.equal_growth_wheel_parameters(args.k))
-            comment = f"hk k={args.k}"
-        elif args.family == "subdivide":
-            graph = families.subdivided_edges(*base, args.m)
-            comment = f"subdivision m={args.m}"
-        elif args.family == "k4e":
-            graph = families.K4_MINUS_EDGE
-            comment = "K4 minus an edge"
-        elif args.family == "complete":
-            graph = families.complete_edges(args.n)
-            comment = f"complete n={args.n}"
-        elif args.family == "bipartite":
-            graph = families.complete_bipartite_edges(args.a, args.b)
-            comment = f"complete bipartite a={args.a} b={args.b}"
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown family {args.family}")
+        graph = build(families, *values)
     except ValueError as exc:
         print(f"gen {args.family}: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(format_text(*graph, comment), args.output)
+    _write_output(format_text(*graph, comment.format_map(vars(args))), args.output)
     return 0
 
 
@@ -254,10 +241,15 @@ def cmd_pdf(args) -> int:
 def cmd_asymvar(args) -> int:
     import json
 
+    from ._text import IrreducibilityVerdict, cannot_connect, parse_text, require_irreducible
+
+    vertex_count, edges = parse_text(_read_input(args.input))
+    if cannot_connect(vertex_count, len(edges)):  # refused before numpy loads
+        require_irreducible(IrreducibilityVerdict.NOT_CONNECTED)
+    from .graph import Graph
     from .variance import variance_report
 
-    g = _load_graph_arg(args.input)
-    print(json.dumps(variance_report(g, args.truncate).to_json()))
+    print(json.dumps(variance_report(Graph(vertex_count, edges), args.truncate).to_json()))
     return 0
 
 
@@ -276,21 +268,13 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a graph file")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    specs = {
-        "wheel": [("--n", int, True), ("--l1", int, True), ("--l2", int, True)],
-        "hk": [("--k", int, True)],
-        "subdivide": [("--m", int, True), ("--input", str, False)],
-        "k4e": [],
-        "complete": [("--n", int, True)],
-        "bipartite": [("--a", int, True), ("--b", int, True)],
-    }
-    for family, options in specs.items():
+    for family, (options, _, _) in _GEN_FAMILIES.items():
         p_family = gen_sub.add_parser(family)
-        for flag, ftype, required in options:
-            if flag == "--input":
+        for option in options:
+            if option == "input":
                 p_family.add_argument("-i", "--input", default="-", help="base graph file (default stdin)")
             else:
-                p_family.add_argument(flag, type=ftype, required=required)
+                p_family.add_argument(f"--{option}", type=int, required=True)
         p_family.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         p_family.set_defaults(func=cmd_gen)
 

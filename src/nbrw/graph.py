@@ -4,7 +4,8 @@ A dart is one orientation of an undirected edge.  Normal edges and
 whole-loops contribute two mutually-reverse darts; a half-loop contributes
 a single dart that is its own reverse.  Darts of the i-th paired edge
 occupy indices 2i and 2i+1 (reverse = index XOR 1); half-loop darts are
-appended after all paired darts.
+appended after all paired darts: :func:`nbrw._text.number_darts`, which
+the compiled walk tables read too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 # the edge kinds, both errors and the verdict are this module's public names too
 from ._text import (HALF_LOOP, NORMAL, WHOLE_LOOP, GraphError, GraphParseError, IrreducibilityVerdict, _checked_edge,
-                    format_text, parse_text)
+                    cannot_connect, format_text, number_darts, parse_text)
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,12 @@ class Graph:
         self.edges: tuple[tuple[int, int, str], ...] = tuple(
             _checked_edge(vertex_count, a, b, kind) for a, b, kind in edges
         )
-
-        ends = np.asarray([(a, b) for a, b, _ in self.edges], dtype=np.int64).reshape(-1, 2)
-        is_half = np.asarray([kind == HALF_LOOP for _, _, kind in self.edges], dtype=bool)
-        paired, halves = np.flatnonzero(~is_half), np.flatnonzero(is_half)
-        paired_darts = 2 * len(paired)
-        self.dart_tail = np.concatenate([ends[paired].ravel(), ends[halves, 0]])
-        self.dart_head = np.concatenate([ends[paired, ::-1].ravel(), ends[halves, 0]])
-        self.dart_reverse = np.concatenate(
-            [np.arange(paired_darts) ^ 1, np.arange(paired_darts, paired_darts + len(halves))]
-        )
-        self.dart_edge = np.concatenate([np.repeat(paired, 2), halves])
-        self.dart_count = len(self.dart_tail)
+        tail, edge, paired = number_darts(self.edges)
+        self.dart_tail = np.asarray(tail, dtype=np.int64)
+        self.dart_edge = np.asarray(edge, dtype=np.int64)
+        self.dart_count = len(tail)
+        self.dart_reverse = np.arange(self.dart_count) ^ (np.arange(self.dart_count) < paired)
+        self.dart_head = self.dart_tail[self.dart_reverse]
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -161,7 +156,7 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
     These three conditions together are exactly when the non-backtracking
     walk visits every dart from every dart.
     """
-    if g.vertex_count == 0 or not _is_connected(g):
+    if cannot_connect(g.vertex_count, len(g.edges)) or not _is_connected(g):
         return IrreducibilityVerdict.NOT_CONNECTED
     if int(g.degrees.min()) < 2:
         return IrreducibilityVerdict.MIN_DEGREE_BELOW_2
@@ -171,8 +166,6 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
 
 
 def _is_connected(g: Graph) -> bool:
-    if g.vertex_count > len(g.edges) + 1:  # a spanning tree needs V - 1 edges
-        return False
     return not _component_labels(g.vertex_count, g.dart_tail, g.dart_head).any()
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._text import CapabilityError, PreconditionError  # public names of this module too
-from .graph import Graph, IrreducibilityVerdict
+from ._text import CapabilityError, PreconditionError, require_irreducible  # both errors are public names here too
+from .graph import Graph
 
 
 class PowerIterationError(RuntimeError):
@@ -70,8 +70,8 @@ class FactoredNbOperator:
     successor (``successor``); at every other dart (``branching``, with
     heads ``head`` and reverses ``reverse``) it is the sum of x over the
     darts leaving head(e) except rev(e), from :func:`_sums_except`.  Any
-    real vector x is accepted: one with a negative entry is applied as
-    ``B max(x, 0) - B max(-x, 0)``, since the sums are accurate for x >= 0.
+    real vector x is accepted: the sums, accurate for x >= 0, are taken
+    apart over ``max(x, 0)`` and ``max(-x, 0)`` where x has signs.
     """
 
     tail: np.ndarray
@@ -88,11 +88,12 @@ class FactoredNbOperator:
         return (len(self.tail), len(self.tail))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.min() < 0:
-            return self @ np.maximum(x, 0.0) - self @ np.maximum(-x, 0.0)
         y = np.empty_like(x)
         y[self.chain] = x[self.successor]
-        y[self.branching] = _sums_except(self.tail, x, self.vertex_count, self.head, self.reverse)
+        positive = x if x.min() >= 0 else np.maximum(x, 0.0)
+        y[self.branching] = _sums_except(self.tail, positive, self.vertex_count, self.head, self.reverse)
+        if positive is not x:
+            y[self.branching] -= _sums_except(self.tail, positive - x, self.vertex_count, self.head, self.reverse)
         if self.weight is not None:
             y *= self.weight
         return y
@@ -100,8 +101,7 @@ class FactoredNbOperator:
 
 def require_nb_irreducible(g: Graph) -> None:
     """Raise :class:`PreconditionError` unless ``g`` is NB-irreducible."""
-    if g.irreducibility is not IrreducibilityVerdict.OK:
-        raise PreconditionError(f"requires NB-irreducibility, got {g.irreducibility.value}")
+    require_irreducible(g.irreducibility)
 
 
 def factored_nb_operator(g: Graph) -> FactoredNbOperator:

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _rng
-from ._text import HALF_LOOP, CapabilityError, EdgeList, IrreducibilityVerdict, PreconditionError
+from ._text import CapabilityError, EdgeList, PreconditionError, number_darts, require_irreducible
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,7 +86,7 @@ class WalkBatch:
 
     @property
     def dart_count(self) -> int:
-        return sum(1 if kind == HALF_LOOP else 2 for *_, kind in self._edges)
+        return len(number_darts(self._edges)[0])
 
     @property
     def sample_count(self) -> int:
@@ -173,15 +173,9 @@ def _compiled_tables(g: Graph | EdgeList) -> tuple[memoryview, memoryview, memor
 
         from ._kernels._walk import walk_tables
 
-        tails, halves = [], []
-        for a, b, kind in g.edges:
-            if kind == HALF_LOOP:
-                halves.append(a)
-            else:
-                tails += a, b
-        verdict, *tables = walk_tables(g.vertex_count, len(tails), array("q", tails + halves))
-        if verdict != IrreducibilityVerdict.OK:
-            raise PreconditionError(f"requires NB-irreducibility, got {verdict}")
+        tail, _, paired = number_darts(g.edges)
+        verdict, *tables = walk_tables(g.vertex_count, paired, array("q", tail))
+        require_irreducible(verdict)
         out_flat, dart_table, value_index, degrees = map(memoryview, tables)
         tables = (out_flat.cast("q"), dart_table.cast("q", (5, len(out_flat) // 8)), value_index.cast("i"),
                   tuple(degrees.cast("q")))
@@ -197,10 +191,9 @@ def _tables(g: Graph | EdgeList, engine: str) -> tuple:
     if engine == "compiled":
         return _compiled_tables(g)
     from .graph import Graph
-    from .operators import require_nb_irreducible
 
     g = g if isinstance(g, Graph) else Graph(g.vertex_count, g.edges)
-    require_nb_irreducible(g)
+    require_irreducible(g.irreducibility)
     return _walk_tables(g)
 
 

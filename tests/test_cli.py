@@ -352,7 +352,7 @@ def test_walk_one_sample_rejected(k4e_file, capsys):
 def test_walk_len_beyond_int64_exit_64(k4e_file, capsys, monkeypatch, length):
     # refused while the arguments are parsed: no graph is read, no walk starts
     monkeypatch.setattr(nbrw.walks, "run_walks", None)
-    monkeypatch.setattr(nbrw.cli, "_load_graph_arg", None)
+    monkeypatch.setattr(nbrw.cli, "_read_input", None)
     with pytest.raises(SystemExit) as exc:
         main(["walk", k4e_file, "--len", length, "--samples", "100"])
     assert exc.value.code == 64
@@ -486,6 +486,37 @@ runpy.run_module("nbrw", run_name="__main__", alter_sys=True)
 """
 
 
+@pytest.fixture
+def blocked_inputs(k4e_file, tmp_path, capsys):
+    files = {name: tmp_path / f"{name}.txt" for name in ("w532", "three", "cycle", "malformed", "loopy", "hostile")}
+    run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "3", "--l2", "2", "-o", str(files["w532"]))
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)]
+    files["three"].write_text("nbgraph 6\n" + "".join(f"e {a} {b}\n" for a, b in edges))
+    files["cycle"].write_text("nbgraph 5\n" + "".join(f"e {i} {(i + 1) % 5}\n" for i in range(5)))
+    files["malformed"].write_text("nbgraph 3\ne 0 1\nzzz\n")
+    files["loopy"].write_text("nbgraph 3\ne 0 1\ne 0 1\ne 1 2\ne 2 0\ne 2 2\nhl 0\n")
+    files["hostile"].write_text("nbgraph 4194304\ne 0 1\n")
+    return {"k4e": k4e_file, **files}
+
+
+def _same_without_numpy(files, tmp_path, argv, expected_code):
+    """``python -m nbrw *argv`` with numpy unimportable and with numpy open:
+    the same exit code, stdout, stderr and CSV file; returns that run."""
+    src = str(Path(nbrw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NBRW_PURE_PYTHON", None)
+    runs = []
+    for mode in ("block", "open"):
+        csv = tmp_path / f"{mode}.csv"
+        args = [a.format(csv=csv, **files) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, mode, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr, csv.read_text() if csv.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == expected_code
+    return runs[0]
+
+
 @pytest.mark.parametrize(
     "argv, expected_code",
     [
@@ -500,28 +531,10 @@ runpy.run_module("nbrw", run_name="__main__", alter_sys=True)
     ],
     ids=["k4e-csv", "k4e-stdout", "w532-csv", "w532-stdout", "three-degrees", "cycle", "malformed", "negative-len"],
 )
-def test_pdf_runs_without_numpy(k4e_file, tmp_path, capsys, argv, expected_code):
+def test_pdf_runs_without_numpy(blocked_inputs, tmp_path, argv, expected_code):
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
-    files = {"k4e": k4e_file, "w532": tmp_path / "w532.txt", "three": tmp_path / "three.txt",
-             "cycle": tmp_path / "cycle.txt", "malformed": tmp_path / "malformed.txt"}
-    run_cli(capsys, "gen", "wheel", "--n", "5", "--l1", "3", "--l2", "2", "-o", str(files["w532"]))
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)]
-    files["three"].write_text("nbgraph 6\n" + "".join(f"e {a} {b}\n" for a, b in edges))
-    files["cycle"].write_text("nbgraph 5\n" + "".join(f"e {i} {(i + 1) % 5}\n" for i in range(5)))
-    files["malformed"].write_text("nbgraph 3\ne 0 1\nzzz\n")
-    src = str(Path(nbrw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("NBRW_PURE_PYTHON", None)
-    runs = []
-    for mode in ("block", "open"):
-        csv = tmp_path / f"{mode}.csv"
-        args = [a.format(csv=csv, **files) for a in argv]
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, mode, "pdf", *args],
-                              env=env, capture_output=True, text=True, timeout=120)
-        runs.append((proc.returncode, proc.stdout, proc.stderr, csv.read_text() if csv.exists() else None))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == expected_code
+    _same_without_numpy(blocked_inputs, tmp_path, ["pdf", *argv], expected_code)
 
 
 @pytest.mark.parametrize(
@@ -536,27 +549,18 @@ def test_pdf_runs_without_numpy(k4e_file, tmp_path, capsys, argv, expected_code)
     ],
     ids=["k4e-csv", "loops-workers", "cycle", "malformed", "negative-len", "no-samples"],
 )
-def test_walk_runs_without_numpy(k4e_file, tmp_path, argv, expected_code):
+def test_walk_runs_without_numpy(blocked_inputs, tmp_path, argv, expected_code):
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
-    files = {"k4e": k4e_file, "loopy": tmp_path / "loopy.txt", "cycle": tmp_path / "cycle.txt",
-             "malformed": tmp_path / "malformed.txt"}
-    files["loopy"].write_text("nbgraph 3\ne 0 1\ne 0 1\ne 1 2\ne 2 0\ne 2 2\nhl 0\n")
-    files["cycle"].write_text("nbgraph 5\n" + "".join(f"e {i} {(i + 1) % 5}\n" for i in range(5)))
-    files["malformed"].write_text("nbgraph 3\ne 0 1\nzzz\n")
-    src = str(Path(nbrw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("NBRW_PURE_PYTHON", None)
-    runs = []
-    for mode in ("block", "open"):
-        csv = tmp_path / f"{mode}.csv"
-        args = [a.format(csv=csv, **files) for a in argv]
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, mode, "walk", *args],
-                              env=env, capture_output=True, text=True, timeout=120)
-        runs.append((proc.returncode, proc.stdout, proc.stderr, csv.read_text() if csv.exists() else None))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == expected_code
-    assert expected_code or "engine: compiled" in runs[0][1]
+    _, out, _, _ = _same_without_numpy(blocked_inputs, tmp_path, ["walk", *argv], expected_code)
+    assert expected_code or "engine: compiled" in out
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--json"], ["asymvar"]],
+                         ids=["analyze", "analyze-json", "asymvar"])
+def test_hostile_header_refused_without_numpy(blocked_inputs, tmp_path, argv):
+    # the edge list alone refutes the header, on any install
+    _same_without_numpy(blocked_inputs, tmp_path, [argv[0], "{hostile}", *argv[1:]], 2)
 
 
 def test_asymvar_json(k4e_file, capsys):
@@ -757,7 +761,7 @@ print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr
 # the selected engine's tables serve walk and pdf: the compiled kernel builds
 # them from the edge list, the numpy fallback off a Graph
 _WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if get_kernel()[0] == "compiled"
-               else ["nbrw._kernels", "nbrw.graph", "nbrw.operators", "nbrw.walks", "numpy"])
+               else ["nbrw._kernels", "nbrw.graph", "nbrw.walks", "numpy"])
 
 
 @pytest.mark.parametrize(
@@ -770,13 +774,20 @@ _WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if get_kernel()[0] == "compiled"
         (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0, _WALK_LOADS),
         (["pdf", "{k4e}", "--len", "5"], 0, _WALK_LOADS),
         (["gen", "k4e"], 0, ["nbrw.families"]),
+        # refused on the parsed edge list, before anything that needs numpy loads
+        (["analyze", "{hostile}"], 2, []),
+        (["analyze", "{hostile}", "--json"], 2, []),
+        (["asymvar", "{hostile}"], 2, []),
     ],
-    ids=["analyze", "analyze-variance", "walk", "walk-workers", "pdf", "gen"],
+    ids=["analyze", "analyze-variance", "walk", "walk-workers", "pdf", "gen", "analyze-hostile", "analyze-json-hostile",
+         "asymvar-hostile"],
 )
-def test_commands_load_only_the_modules_they_use(k4e_file, argv, expected_code, loaded):
+def test_commands_load_only_the_modules_they_use(k4e_file, tmp_path, argv, expected_code, loaded):
+    hostile = tmp_path / "hostile.txt"
+    hostile.write_text("nbgraph 4194304\ne 0 1\n")
     src = str(Path(nbrw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = [a.format(k4e=k4e_file) for a in argv]
+    args = [a.format(k4e=k4e_file, hostile=hostile) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
     )

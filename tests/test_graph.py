@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -15,9 +16,12 @@ from nbrw import (
 )
 from nbrw.graph import HALF_LOOP, NORMAL, WHOLE_LOOP, _is_connected
 from nbrw._kernels import available_engines
+from nbrw._text import cannot_connect, number_darts
+from nbrw.cli import _graph_summary
 from nbrw.walks import _walk_tables
 
 from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible
+from _reference_darts import DartArrays, degree_histogram
 from _reference_walks import dart_transitions
 
 
@@ -231,6 +235,46 @@ def test_is_connected_matches_search():
     verdicts = [_is_connected(g) for g in graphs]
     assert verdicts == [_connected_by_search(g) for g in graphs]
     assert 50 <= sum(verdicts) <= len(graphs) - 50
+
+
+def _numbering_corpus():
+    """The seeded corpus, with isolated vertices beside some edges and the
+    hostile header, which declares 2**22 vertices for one edge."""
+    return _seeded_corpus() + [
+        build_graph(7, [(0, 1), (1, 2), (2, 0), (2, 2, HALF_LOOP), (0, 1)]),
+        build_graph(5, [(4, 4, HALF_LOOP), (3, 3), (1, 3)]),
+        parse_graph_text("nbgraph 4194304\ne 0 1\n"),
+    ]
+
+
+def test_dart_numbering_matches_the_numpy_reference():
+    # half-loops, whole-loops, parallel edges, no edge and no vertex at all
+    for g in _numbering_corpus():
+        reference = DartArrays(g.edges)
+        tail, edge, paired = number_darts(g.edges)
+        assert tail == reference.dart_tail.tolist(), g
+        assert edge == reference.dart_edge.tolist(), g
+        assert paired == 2 * sum(kind != HALF_LOOP for *_, kind in g.edges), g
+        for name in ("dart_tail", "dart_head", "dart_reverse", "dart_edge"):
+            got, expected = getattr(g, name), getattr(reference, name)
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), (g, name)
+        assert g.dart_count == reference.dart_count
+
+
+def test_graph_summary_matches_the_numpy_reference():
+    for g in _numbering_corpus():
+        summary = _graph_summary(g.vertex_count, len(g.edges), number_darts(g.edges)[0])
+        expected = {"vertices": g.vertex_count, "edges": len(g.edges), "darts": g.dart_count,
+                    "degree_histogram": degree_histogram(g)}
+        assert json.dumps(summary) == json.dumps(expected), g  # the histogram's order too
+
+
+def test_size_test_agrees_with_the_verdict():
+    for g in _numbering_corpus():
+        if cannot_connect(g.vertex_count, len(g.edges)):
+            assert is_nb_irreducible(g) is IrreducibilityVerdict.NOT_CONNECTED, g
+    assert cannot_connect(0, 0) and cannot_connect(4194304, 1) and cannot_connect(3, 1)
+    assert not cannot_connect(1, 0) and not cannot_connect(3, 2)
 
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -7,10 +7,6 @@ in one matvec.  For each graph the line gives the verdict, the power steps
 on B (``iterations``), every operator application (``matvecs``, as in
 ``analyze --json``) and the best time of ``growth_verdict`` over fresh
 copies of the graph, so the cached dart layouts are built in every run.
-``cycle s`` is the best time of ``find_improving_cycle`` on fresh copies
-likewise.  The search peels one suspended path at a time over all D darts:
-on a 2-vCPU host it took 0.4 s on hk8, 5.3 s on hk10, 7.8 s on w1025-2-12
-and 105 s on w4097-2-12, so a full run at ``--repeat 3`` takes minutes.
 
     python benchmarks/bench_rho.py --repeat 3
     python benchmarks/bench_rho.py --graph w4097-2-12 --tol 1e-13
@@ -19,7 +15,7 @@ and 105 s on w4097-2-12, so a full run at ``--repeat 3`` takes minutes.
 import argparse
 import time
 
-from nbrw import equal_growth_wheel, find_improving_cycle, growth_verdict, wheel_graph
+from nbrw import equal_growth_wheel, growth_verdict, wheel_graph
 
 GRAPHS = {
     "w257-3-8": lambda: wheel_graph(257, 3, 8),
@@ -39,23 +35,17 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'graph':>11} {'darts':>7} {'verdict':>7} {'iterations':>10} {'matvecs':>7} {'best s':>8} {'cycle s':>8}"
-          "  rho")
+    print(f"{'graph':>11} {'darts':>7} {'verdict':>7} {'iterations':>10} {'matvecs':>7} {'best s':>8}  rho")
     for name in args.graph or GRAPHS:
-        best = search = float("inf")
+        best = float("inf")
         for _ in range(args.repeat):
             g = GRAPHS[name]()
             start = time.perf_counter()
             verdict = growth_verdict(g, rel_tol=args.tol)
             best = min(best, time.perf_counter() - start)
-        for _ in range(args.repeat):
-            g = GRAPHS[name]()
-            start = time.perf_counter()
-            find_improving_cycle(g)
-            search = min(search, time.perf_counter() - start)
         rho = verdict.to_json()["rho"]
         print(f"{name:>11} {g.dart_count:>7} {verdict.status:>7} {rho['iterations']:>10} {rho['matvecs']:>7} "
-              f"{best:>8.4f} {search:>8.3f}  {rho['value']!r} in [{rho['low']!r}, {rho['high']!r}]")
+              f"{best:>8.4f}  {rho['value']!r} in [{rho['low']!r}, {rho['high']!r}]")
 
 
 if __name__ == "__main__":

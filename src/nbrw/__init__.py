@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "conditions": "ConditionVerdict ConsistencyError GrowthVerdict SuspendedPath average_growth_rate"
-    " check_cycle_condition check_suspended_path_condition find_improving_cycle growth_verdict"
-    " suspended_path_decomposition",
+    " check_cycle_condition check_suspended_path_condition growth_verdict suspended_path_decomposition",
     "exact": "ExactValue",
     "families": "complete_bipartite_graph complete_graph equal_growth_wheel equal_growth_wheel_parameters"
     " k4_minus_edge subdivide wheel_graph",

@@ -32,9 +32,8 @@ class PreconditionError(ValueError):
 
 class CapabilityError(ValueError):
     """A computation would exceed one of its stated limits: the exact bit
-    law handles at most two distinct branching degrees, the maximum-mean
-    cycle search at most 2**16 table cells, and the float variance solve
-    must leave a strict graph's limit above 0."""
+    law handles at most two distinct branching degrees, and the float
+    variance solve must leave a strict graph's limit above 0."""
 
 
 class IrreducibilityVerdict(str, Enum):
@@ -49,20 +48,18 @@ class EdgeList(NamedTuple):  # a parsed graph, with every edge checked
     edges: list[tuple[int, int, str]]
 
 
-def number_darts(edges) -> tuple[list[int], list[int], int]:
-    """Each dart's tail and edge, and ``paired``, of ``(a, b, kind)`` edges:
-    the i-th normal edge or whole-loop gives darts 2i, tail a, and 2i + 1,
-    tail b, each the other's reverse; the half-loop darts follow from
-    ``paired`` on, each its own reverse."""
-    tail, edge, half_tail, half_edge = [], [], [], []
-    for i, (a, b, kind) in enumerate(edges):
+def number_darts(edges) -> tuple[list[int], int]:
+    """Each dart's tail, and ``paired``, of ``(a, b, kind)`` edges: the i-th
+    normal edge or whole-loop gives darts 2i, tail a, and 2i + 1, tail b,
+    each the other's reverse; the half-loop darts follow from ``paired`` on,
+    each its own reverse."""
+    tail, half_tail = [], []
+    for a, b, kind in edges:
         if kind == HALF_LOOP:
             half_tail.append(a)
-            half_edge.append(i)
         else:
             tail += a, b
-            edge += i, i
-    return tail + half_tail, edge + half_edge, len(tail)
+    return tail + half_tail, len(tail)
 
 
 def cannot_connect(vertex_count: int, edge_count: int) -> bool:

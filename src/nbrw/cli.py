@@ -86,14 +86,15 @@ def _effective_workers(requested: int) -> int:
     return max(1, requested)
 
 
-def _graph_summary(vertex_count: int, edge_count: int, tails: list[int]) -> dict:
-    """The ``graph`` block of the analyze report, from each dart's tail."""
-    # count the vertices that darts leave; the others, however many the header declares, have degree 0
-    degrees = Counter(tails)
-    counts = Counter(degrees.values())
-    counts[0] = vertex_count - len(degrees)
+def _graph_summary(vertex_count: int, edge_count: int, degrees) -> dict:
+    """The ``graph`` block of the analyze report, from the vertex degrees:
+    of every vertex, or only of the vertices that darts leave."""
+    # count the nonzero degrees; the other vertices, however many the header declares, have degree 0
+    counts = Counter(filter(None, degrees))
+    darts = sum(d * c for d, c in counts.items())
+    counts[0] = vertex_count - sum(counts.values())
     histogram = {str(d): counts[d] for d in sorted(counts) if counts[d]}
-    return {"vertices": vertex_count, "edges": edge_count, "darts": len(tails), "degree_histogram": histogram}
+    return {"vertices": vertex_count, "edges": edge_count, "darts": darts, "degree_histogram": histogram}
 
 
 def cmd_analyze(args) -> int:
@@ -103,14 +104,14 @@ def cmd_analyze(args) -> int:
 
     vertex_count, edges = parse_text(_read_input(args.input))
     if cannot_connect(vertex_count, len(edges)):
-        tails, verdict = number_darts(edges)[0], IrreducibilityVerdict.NOT_CONNECTED
+        degrees, verdict = Counter(number_darts(edges)[0]).values(), IrreducibilityVerdict.NOT_CONNECTED
     else:
         from .conditions import growth_verdict
         from .graph import Graph
 
         g = Graph(vertex_count, edges)
-        tails, verdict = g.dart_tail.tolist(), g.irreducibility
-    report: dict = {"graph": _graph_summary(vertex_count, len(edges), tails), "nb_irreducible": verdict.value}
+        degrees, verdict = g.degrees.tolist(), g.irreducibility
+    report: dict = {"graph": _graph_summary(vertex_count, len(edges), degrees), "nb_irreducible": verdict.value}
     if verdict is not IrreducibilityVerdict.OK:
         report["error"] = f"graph is not NB-irreducible: {verdict.value}"
         if args.json:

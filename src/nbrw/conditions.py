@@ -17,9 +17,7 @@ into an explicit violating cycle (counterexample).
 Both run on integer vectors: log outdeg(e) and D log L (D darts) are
 exponent vectors over the few primes dividing the degrees, so each
 criterion is one vectorised integer comparison over all paths or arcs.
-The path criterion and the improving-cycle search read them summed per
-suspended path, on its first dart.  ``ExactValue`` appears only in what is
-reported.
+``ExactValue`` appears only in what is reported.
 """
 
 from __future__ import annotations
@@ -31,15 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import ExactValue, exponent_sign, factorize
-from .graph import Graph, SuspendedPaths, _component_labels
-from .operators import (
-    CapabilityError,
-    PerronResult,
-    PreconditionError,
-    nb_perron,
-    require_nb_irreducible,
-)
+from .exact import ExactValue, factorize
+from .graph import Graph, SuspendedPaths
+from .operators import PerronResult, PreconditionError, nb_perron, require_nb_irreducible
 
 
 class ConsistencyError(RuntimeError):
@@ -212,18 +204,6 @@ class ConditionVerdict:
         return payload
 
 
-def _path_rows(g: Graph) -> np.ndarray:
-    """The exponent row of outdeg(P) * indeg(P) on the first dart of each
-    suspended path P, and 0 on every other dart: a sum of these rows over
-    whole paths is the sum of 2 |P| log g(P), the path balance values."""
-    ex, paths = _exponents(g), g.suspended_paths
-    out = ex.rows[paths.last]
-    rows = np.zeros_like(ex.rows)
-    # path i begins at rev(last[reverse[i]]), whose indeg is outdeg(last[reverse[i]])
-    rows[g.dart_reverse[paths.last[paths.reverse]]] = out + out[paths.reverse]
-    return rows
-
-
 def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     """Exact test of outdeg(P) * indeg(P) = L**(2|P|) for every path.
 
@@ -233,9 +213,10 @@ def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     """
     require_nb_irreducible(g)
     lam = _lambda(g)
-    paths = g.suspended_paths
-    first = g.dart_reverse[paths.last[paths.reverse]]
-    balance = g.dart_count * _path_rows(g)[first] - (2 * paths.length)[:, None] * _exponents(g).total
+    ex, paths = _exponents(g), g.suspended_paths
+    # path i begins at rev(last[reverse[i]]), whose indeg is outdeg(last[reverse[i]])
+    out = ex.rows[paths.last]
+    balance = g.dart_count * (out + out[paths.reverse]) - (2 * paths.length)[:, None] * ex.total
     bad = (balance != 0).any(axis=1)[paths.path]
     if bad.any():
         # darts ascend, so the first bad dart is the smallest on any bad path
@@ -396,198 +377,6 @@ def _assert_nb_cycle(g: Graph, cycle: list[int]) -> None:
     following = np.roll(darts, -1)
     if np.any(g.dart_tail[following] != g.dart_head[darts]) or np.any(following == g.dart_reverse[darts]):
         raise ConsistencyError("constructed witness is not a closed non-backtracking walk")
-
-
-# --- improving-cycle search ---------------------------------------------------
-#
-# The search sums ``_path_rows`` only over unions of whole suspended paths of
-# g (subgraph paths, pruned chains, components, cycles), so each mean that it
-# compares, a row sum over a dart count, is twice the log of a mean of g(P).
-
-_MAX_MEAN_CELLS = 2**16  # of Karp's table in the maximum-mean fallback
-
-
-def _best_component(g: Graph, live: np.ndarray, primes: tuple[int, ...], rows: np.ndarray):
-    """Drops from ``live``, in place, the edges at vertices of degree one
-    until there are none, then gives ``(edge mask, row sum, dart count)`` of
-    the component with the largest mean, ties to the smallest dart, or None
-    when no edge is left."""
-    while True:
-        on = live[g.dart_edge]
-        weak = g.dart_edge[on & (np.bincount(g.dart_tail[on], minlength=g.vertex_count) == 1)[g.dart_tail]]
-        if not len(weak):
-            break
-        live[weak] = False
-    darts = np.flatnonzero(live[g.dart_edge])
-    if not len(darts):
-        return None
-    labels = _component_labels(g.vertex_count, g.dart_tail[darts], g.dart_head[darts])
-    _, smallest, component = np.unique(labels[g.dart_tail[darts]], return_index=True, return_inverse=True)
-    sums = np.zeros((len(smallest), len(primes)), dtype=rows.dtype)
-    np.add.at(sums, component, rows[darts])
-    counts = np.bincount(component).tolist()
-    best = 0  # darts ascend, so smallest[c] orders the components by their smallest dart
-    for c in range(1, len(counts)):
-        sign = exponent_sign(primes, (sums[c] * counts[best] - sums[best] * counts[c]).tolist())
-        if sign > 0 or (sign == 0 and smallest[c] < smallest[best]):
-            best = c
-    kept = np.zeros_like(live)
-    kept[g.dart_edge[darts[component == best]]] = True
-    return kept, sums[best], counts[best]
-
-
-def find_improving_cycle(g: Graph) -> list[int]:
-    """Peel suspended paths until a cycle with above-average g(P) remains.
-
-    Each dart of a suspended path P carries g(P) = (outdeg(P) indeg(P)) **
-    (1 / (2 |P|)), the value that the path criterion compares with lambda.
-    Repeatedly removes a suspended path of the current subgraph (a mask
-    over the edges) whose geometric mean of g is at most the subgraph's,
-    the first by leading dart after which the mean does not drop; prunes to
-    minimum degree two; keeps the connected component with the largest
-    mean (ties to the smallest dart); and stops when only a cycle is left,
-    returned from its smallest dart.  The returned non-backtracking cycle C
-    satisfies, exactly,
-
-        geometric_mean(g over C) >= geometric_mean(g over all darts),
-
-    strictly when some suspended path of the graph falls strictly below the
-    global mean.  Means are compared exactly, as integer exponent rows.
-
-    When every removal loses ground (above-average darts stranded on a
-    bridge), the guarantee is met by a cycle of maximum mean instead:
-    Karp's dynamic program with its table kept at the first dart of each
-    suspended path, (D + 1) * (number of paths) cells of one integer row
-    over the primes of the degrees and a back link.  Above 2**16 cells it
-    raises :class:`~nbrw.operators.CapabilityError` (a ``ValueError``)
-    before building the table.
-    """
-    require_nb_irreducible(g)
-    primes, rows = _exponents(g).primes, _path_rows(g)
-    tail, head, edge = g.dart_tail, g.dart_head, g.dart_edge
-    live = np.ones(len(g.edges), dtype=bool)
-    total, count = rows.sum(axis=0), g.dart_count  # the current mean is total / count
-    while True:
-        darts = np.flatnonzero(live[edge])
-        degree = np.bincount(tail[darts], minlength=g.vertex_count)
-        # a live dart into a vertex of degree two goes on along the one of
-        # the two live darts leaving it that is not its reverse
-        pair = np.zeros(g.vertex_count, dtype=np.int64)
-        np.add.at(pair, tail[darts], darts)
-        chain = darts[degree[head[darts]] == 2]
-        after = np.full(g.dart_count, -1)
-        after[chain] = pair[head[chain]] - g.dart_reverse[chain]
-        if degree.max() <= 2:
-            cycle = [int(darts[0])]
-            while after[cycle[-1]] != cycle[0]:
-                if after[cycle[-1]] < 0 or len(cycle) == len(darts):
-                    raise ConsistencyError("cycle trace did not close")
-                cycle.append(int(after[cycle[-1]]))
-            return cycle
-
-        # the subgraph's suspended paths, each dart named by its path's first
-        first = np.arange(g.dart_count)
-        chained = np.flatnonzero(after >= 0)
-        first[after[chained]] = chained
-        while not np.array_equal(first[first], first):
-            first = first[first]
-        sums = np.zeros_like(rows)
-        np.add.at(sums, first[darts], rows[darts])
-        sizes = np.bincount(first[darts], minlength=g.dart_count)
-        leads = darts[degree[tail[darts]] != 2]
-        balance = (sums[leads] * count - sizes[leads, None] * total).tolist()
-        leads = leads[[exponent_sign(primes, row) <= 0 for row in balance]]
-        if not len(leads):
-            raise ConsistencyError("no suspended path at or below the current mean")
-
-        for lead in leads.tolist():
-            kept = live.copy()
-            kept[edge[darts[first[darts] == lead]]] = False
-            best = _best_component(g, kept, primes, rows)
-            if best is not None and exponent_sign(primes, (best[1] * count - total * best[2]).tolist()) >= 0:
-                live, total, count = best
-                break
-        else:
-            break
-
-    cycle = _max_mean_cycle(g)
-    balance = rows[cycle].sum(axis=0) * g.dart_count - rows.sum(axis=0) * len(cycle)
-    if exponent_sign(primes, balance.tolist()) < 0:
-        raise ConsistencyError("no cycle reaches the global mean")
-    return cycle
-
-
-def _max_mean_cycle(g: Graph) -> list[int]:
-    """Cycle of maximum geometric mean of g(P) in the transition digraph.
-
-    Karp's dynamic program: best[k][v] is the largest row sum over walks
-    of k arcs from a fixed dart to dart v, and the maximum mean is
-    max_v min_k (best[D][v] - best[k][v]) / (D - k).  A walk has one way on
-    inside a suspended path, and the arc leaving a path's first dart adds
-    the whole path's row (``_path_rows``), so the table is kept at the
-    first dart b of each path only: the dart j steps into b's path has
-    best[k][.] = best[k - j][b] + row(b), with row(b) the same for every k,
-    so its Karp term is b's with D - j in place of D.  Every cycle on the
-    walk realizing the largest term attains the maximum.  All comparisons
-    are exact.
-    """
-    paths = g.suspended_paths
-    cells = (g.dart_count + 1) * len(paths.last)
-    if cells > _MAX_MEAN_CELLS:
-        raise CapabilityError(f"a maximum-mean cycle search needs {cells} table cells, more than {_MAX_MEAN_CELLS}")
-    from functools import cmp_to_key
-
-    primes, d = _exponents(g).primes, g.dart_count
-    weight = _path_rows(g).tolist()
-    length, end = (paths.dist + 1).tolist(), paths.anchor.tolist()
-    head, reverse, successor = g.dart_head.tolist(), g.dart_reverse.tolist(), g.chain_successor.tolist()
-    offsets, flat = (a.tolist() for a in g.out_dart_table)
-    # orders (row sum, darts) pairs by their mean
-    mean = cmp_to_key(lambda a, b: exponent_sign(primes, [x * b[1] - y * a[1] for x, y in zip(a[0], b[0])]))
-
-    # table[k][b]: the best row sum of a walk of k darts into the first dart
-    # b of a path, and the first dart of the path before (-1 at the start)
-    table: list[dict[int, tuple[list[int], int]]] = [{} for _ in range(d + 1)]
-    # the walk starts at the smallest dart that begins a path: paths begin at the reverses of last darts
-    table[0][int(g.dart_reverse[paths.last].min())] = ([0] * len(primes), -1)
-    for k, cells_k in enumerate(table):
-        for a, (value, _) in cells_k.items():
-            if k + length[a] <= d:
-                reached = ([x + y for x, y in zip(value, weight[a])], a)
-                later, v = table[k + length[a]], head[end[a]]
-                for b in flat[offsets[v]:offsets[v + 1]]:
-                    if b != reverse[end[a]] and (b not in later or mean((reached[0], 1)) > mean((later[b][0], 1))):
-                        later[b] = reached
-
-    columns: dict[int, list[int]] = {}
-    for k, cells_k in enumerate(table):
-        for b in cells_k:
-            columns.setdefault(b, []).append(k)
-    # Karp's term of the dart D - m steps into the path of b, for m > 0 with
-    # a walk into b, is the smallest mean (table[m][b] - table[k][b]) / (m - k);
-    # a walk of D darts exists, and its cycle leaves a shorter walk to its end
-    terms = [
-        (min((([x - y for x, y in zip(table[m][b][0], table[k][b][0])], m - k) for k in ks[:n]), key=mean), m, b)
-        for b, ks in columns.items()
-        for n, m in enumerate(ks)
-        if n and m > d - length[b]
-    ]
-
-    # the walk's first repeated dart begins a path, so its first cycle is
-    # a run of whole paths between two visits of one first dart
-    _, m, b = max(terms, key=lambda term: mean(term[0]))
-    firsts = [b]
-    while table[m][firsts[-1]][1] >= 0:
-        firsts.append(table[m][firsts[-1]][1])
-        m -= length[firsts[-1]]
-    firsts.reverse()
-    n = next(n for n, a in enumerate(firsts) if a in firsts[:n])
-    cycle = []
-    for c in firsts[firsts.index(firsts[n]):n]:
-        cycle.append(c)
-        for _ in range(length[c] - 1):
-            cycle.append(successor[cycle[-1]])
-    return cycle
 
 
 # --- combined verdict --------------------------------------------------------

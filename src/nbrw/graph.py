@@ -55,9 +55,8 @@ class Graph:
         self.edges: tuple[tuple[int, int, str], ...] = tuple(
             _checked_edge(vertex_count, a, b, kind) for a, b, kind in edges
         )
-        tail, edge, paired = number_darts(self.edges)
+        tail, paired = number_darts(self.edges)
         self.dart_tail = np.asarray(tail, dtype=np.int64)
-        self.dart_edge = np.asarray(edge, dtype=np.int64)
         self.dart_count = len(tail)
         self.dart_reverse = np.arange(self.dart_count) ^ (np.arange(self.dart_count) < paired)
         self.dart_head = self.dart_tail[self.dart_reverse]
@@ -166,20 +165,16 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
 
 
 def _is_connected(g: Graph) -> bool:
-    return not _component_labels(g.vertex_count, g.dart_tail, g.dart_head).any()
-
-
-def _component_labels(vertex_count: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """The smallest vertex in each vertex's component over the arcs
-    ``tail -> head``, closed under reversal like the darts of some edges.
-    Min-label hooking: every root takes the smallest root across its arcs,
-    then pointer jumping sends every vertex to its root."""
-    label = np.arange(vertex_count)
+    """Whether every vertex's component label, the smallest vertex in its
+    component over the darts, is 0.  Min-label hooking: every root takes
+    the smallest root across its darts, then pointer jumping sends every
+    vertex to its root."""
+    label = np.arange(g.vertex_count)
     while True:
-        tails, heads = label[tail], label[head]
+        tails, heads = label[g.dart_tail], label[g.dart_head]
         cross = tails != heads
         if not cross.any():
-            return label
+            return not label.any()
         np.minimum.at(label, tails[cross], heads[cross])
         while True:
             jumped = label[label]

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _rng
-from ._text import CapabilityError, EdgeList, PreconditionError, number_darts, require_irreducible
+from ._text import HALF_LOOP, CapabilityError, EdgeList, PreconditionError, number_darts, require_irreducible
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,7 +86,7 @@ class WalkBatch:
 
     @property
     def dart_count(self) -> int:
-        return len(number_darts(self._edges)[0])
+        return sum(1 if kind == HALF_LOOP else 2 for *_, kind in self._edges)
 
     @property
     def sample_count(self) -> int:
@@ -173,7 +173,7 @@ def _compiled_tables(g: Graph | EdgeList) -> tuple[memoryview, memoryview, memor
 
         from ._kernels._walk import walk_tables
 
-        tail, _, paired = number_darts(g.edges)
+        tail, paired = number_darts(g.edges)
         verdict, *tables = walk_tables(g.vertex_count, paired, array("q", tail))
         require_irreducible(verdict)
         out_flat, dart_table, value_index, degrees = map(memoryview, tables)

@@ -1,16 +1,18 @@
-"""The improving-cycle search as it ran before the integer-row rewrite:
+"""The improving-cycle search, a step in the proof of the path criterion:
 induced subgraphs rebuilt per step, a set-based 2-core, a dict union-find
 over components, ``ExactValue`` means, and Karp's (D + 1) x D table as the
 exact fallback.
 
-Kept verbatim (apart from imports) as the oracle that
-``test_improving_cycle_reference.py`` compares ``find_improving_cycle``
-against: the same dart list where this search ends by peeling, and the
-same exact mean where it falls back to the maximum-mean cycle.  The exact
-:func:`geometric_mean` that the means are taken with moved here verbatim
-from ``nbrw.exact``, and :func:`path_growth_function`, the one ``f`` that
-the package's search reads (as integer rows, without taking ``f``), moved
-here verbatim from ``nbrw.conditions``; neither module needs them.
+The package does not run this search, so the lemma behind it (a strict
+graph has a non-backtracking cycle whose mean of g(P) is above Lambda) is
+tested on it, in ``test_conditions.py``, through both of its endings:
+peeling and the maximum-mean fallback.  Kept verbatim apart from imports and from
+the dart-to-edge numbering, which it reads off the numpy reference
+:class:`_reference_darts.DartArrays` now that ``Graph`` has none.  The
+exact :func:`geometric_mean` that the means are taken with moved here
+verbatim from ``nbrw.exact``, and :func:`path_growth_function`, the one
+``f`` that the search is run with, moved here verbatim from
+``nbrw.conditions``; neither module needs them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from nbrw.conditions import ConsistencyError, suspended_path_decomposition
 from nbrw.exact import ExactValue
 from nbrw.graph import Graph, build_graph
 from nbrw.operators import require_nb_irreducible
+
+from _reference_darts import DartArrays
 
 
 def path_growth_function(g: Graph) -> list[ExactValue]:
@@ -88,7 +92,7 @@ def _edge_components(g: Graph, edge_ids: set[int]) -> list[set[int]]:
 
 
 def _darts_of_edges(g: Graph, edge_ids: set[int]) -> list[int]:
-    return np.flatnonzero(np.isin(g.dart_edge, list(edge_ids))).tolist()
+    return np.flatnonzero(np.isin(DartArrays(g.edges).dart_edge, list(edge_ids))).tolist()
 
 
 def _trace_cycle(sub: Graph, dart_map: dict[int, int]) -> list[int]:
@@ -144,6 +148,7 @@ def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
     require_nb_irreducible(g)
     _validate_path_function(g, f)
     global_mean = geometric_mean(f)
+    dart_edge = DartArrays(g.edges).dart_edge
 
     current: set[int] = set(range(len(g.edges)))
     current_mean = global_mean
@@ -168,7 +173,7 @@ def find_improving_cycle(g: Graph, f: list[ExactValue]) -> list[int]:
 
         chosen = None
         for _, orig in candidates:
-            removed_edges = {int(g.dart_edge[d]) for d in orig}
+            removed_edges = {int(dart_edge[d]) for d in orig}
             remaining = _prune_to_min_degree_two(g, current - removed_edges)
             best = _best_component(g, remaining, f)
             if best is None:

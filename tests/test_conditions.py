@@ -1,6 +1,4 @@
 import random
-import time
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +6,6 @@ import numpy as np
 import pytest
 
 from nbrw import (
-    CapabilityError,
     ExactValue,
     PreconditionError,
     average_growth_rate,
@@ -18,7 +15,6 @@ from nbrw import (
     complete_bipartite_graph,
     complete_graph,
     equal_growth_wheel,
-    find_improving_cycle,
     growth_verdict,
     k4_minus_edge,
     suspended_path_decomposition,
@@ -28,6 +24,7 @@ from nbrw.conditions import _Potential
 
 from _corpus import random_nb_irreducible
 from _reference_criteria import potential
+import _reference_improving_cycle as reference
 from _reference_improving_cycle import geometric_mean, path_growth_function
 from _reference_walks import dart_transitions
 
@@ -263,12 +260,27 @@ def test_potential_pairs_on_certificates_and_on_several_primes():
 
 
 # --- improving cycle ----------------------------------------------------------
+#
+# The lemma behind the path criterion: a strict graph has a non-backtracking
+# cycle whose mean of g(P) is above the average.  The package does not search
+# for one, so the lemma is tested on the exact reference search.
+
+
+def improving_cycle(g):
+    """The reference search's improving cycle of g, and whether it ended in
+    the maximum-mean fallback rather than by peeling."""
+    calls, fallback = [], reference._max_mean_cycle
+    reference._max_mean_cycle = lambda *args: calls.append(1) or fallback(*args)
+    try:
+        return reference.find_improving_cycle(g, path_growth_function(g)), bool(calls)
+    finally:
+        reference._max_mean_cycle = fallback
 
 
 def test_improving_cycle_k4e(k4e):
     f = path_growth_function(k4e)
     lam_exact, _ = average_growth_rate(k4e)
-    cycle = find_improving_cycle(k4e)
+    cycle, _ = improving_cycle(k4e)
     cycle_is_valid(k4e, cycle)
     mean = geometric_mean([f[d] for d in cycle])
     # a strictly below-average path exists, so the cycle is strictly above
@@ -279,30 +291,33 @@ def test_improving_cycle_k4e(k4e):
 def test_improving_cycle_constant_function(k4):
     f = path_growth_function(k4)
     assert set(f) == {ExactValue.from_integer(2)}  # every path of the regular graph balances at 2
-    cycle = find_improving_cycle(k4)
+    cycle, _ = improving_cycle(k4)
     cycle_is_valid(k4, cycle)
     assert geometric_mean([f[d] for d in cycle]) == ExactValue.from_integer(2)
 
 
 def test_improving_cycle_w523(w523):
     f = path_growth_function(w523)
-    cycle = find_improving_cycle(w523)
+    cycle, _ = improving_cycle(w523)
     cycle_is_valid(w523, cycle)
     assert geometric_mean([f[d] for d in cycle]) == exact(2, 1, 2)
 
 
 def test_improving_cycle_on_corpus():
     rng = random.Random(1313)
+    fallbacks = 0
     for _ in range(40):
         g = random_nb_irreducible(rng, max_vertices=8)
         f = path_growth_function(g)
         global_mean = geometric_mean(f)
-        cycle = find_improving_cycle(g)
+        cycle, fell_back = improving_cycle(g)
+        fallbacks += fell_back
         cycle_is_valid(g, cycle)
         mean = geometric_mean([f[d] for d in cycle])
         assert mean >= global_mean
         if any(p.g_value < global_mean for p in suspended_path_decomposition(g)):
             assert mean > global_mean
+    assert 0 < fallbacks < 40  # both endings, peeling and the maximum-mean fallback
 
 
 def test_improving_cycle_balloon_anchor():
@@ -316,7 +331,7 @@ def test_improving_cycle_balloon_anchor():
         ],
     )
     f = path_growth_function(g)
-    cycle = find_improving_cycle(g)
+    cycle, _ = improving_cycle(g)
     cycle_is_valid(g, cycle)
     assert geometric_mean([f[d] for d in cycle]) >= geometric_mean(f)
 
@@ -343,13 +358,11 @@ def enumerate_simple_cycle_means(g, f):
 
 
 def test_max_mean_cycle_matches_enumeration():
-    from nbrw.conditions import _max_mean_cycle
-
     rng = random.Random(2323)
     for _ in range(12):
         g = random_nb_irreducible(rng, max_vertices=4, degree_range=(2, 4))
         f = path_growth_function(g)
-        cycle = _max_mean_cycle(g)
+        cycle = reference._max_mean_cycle(g, f)
         cycle_is_valid(g, cycle)
         karp_mean = geometric_mean([f[d] for d in cycle])
         brute_mean = enumerate_simple_cycle_means(g, f)
@@ -357,15 +370,13 @@ def test_max_mean_cycle_matches_enumeration():
 
 
 def test_max_mean_cycle_matches_enumeration_inside_paths():
-    # graphs with many degree-2 vertices: the best cycle can be closed by a
-    # Karp walk that ends inside a suspended path
-    from nbrw.conditions import _max_mean_cycle
-
+    # graphs with many degree-2 vertices: the best cycle runs along long
+    # suspended paths
     rng = random.Random(2525)
     for _ in range(30):
         g = random_nb_irreducible(rng, max_vertices=5, degree_range=(2, 3))
         f = path_growth_function(g)
-        cycle = _max_mean_cycle(g)
+        cycle = reference._max_mean_cycle(g, f)
         cycle_is_valid(g, cycle)
         assert geometric_mean([f[d] for d in cycle]) == enumerate_simple_cycle_means(g, f)
 
@@ -373,7 +384,7 @@ def test_max_mean_cycle_matches_enumeration_inside_paths():
 def test_improving_cycle_validates_input():
     c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(PreconditionError):
-        find_improving_cycle(c5)
+        reference.find_improving_cycle(c5, [ExactValue.one()] * c5.dart_count)
 
 
 def two_cycle_balloon(k):
@@ -382,46 +393,13 @@ def two_cycle_balloon(k):
     return build_graph(2 * k + 1, edges + [(0, 2 * k), (2 * k, k)])
 
 
-def test_improving_cycle_balloon_falls_back_to_maximum_mean(monkeypatch):
-    from nbrw import conditions
-
-    g = two_cycle_balloon(1000)
-    assert g.dart_count == 4004
+def test_improving_cycle_balloon_falls_back_to_maximum_mean():
+    g = two_cycle_balloon(20)
+    assert g.dart_count == 84
     f = path_growth_function(g)
-    fallbacks = []
-    search = conditions._max_mean_cycle
-    monkeypatch.setattr(conditions, "_max_mean_cycle", lambda *args: fallbacks.append(1) or search(*args))
-    start = time.perf_counter()
-    cycle = find_improving_cycle(g)
-    elapsed = time.perf_counter() - start
+    cycle, fell_back = improving_cycle(g)
     cycle_is_valid(g, cycle)
-    assert fallbacks == [1]  # peeling either loop strands the bridge
-    # the best cycle crosses the bridge both ways and each loop once: 2004
-    # darts, 4000 at 2 ** (1/1000) and 4 at 2 ** (1/2)
-    assert geometric_mean([f[d] for d in cycle]) == exact(2, 1, 501)
-    assert elapsed < 0.5
-    tracemalloc.start()
-    try:
-        assert find_improving_cycle(g) == cycle
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10_000_000  # Karp's table on the 6 suspended paths, not on 4,004 darts
-
-
-def test_max_mean_cycle_refuses_above_its_table_bound():
-    from nbrw.conditions import _MAX_MEAN_CELLS, _max_mean_cycle
-
-    g = wheel_graph(256, 1, 1)  # 1,024 darts, each one a suspended path
-    assert (g.dart_count + 1) * len(g.suspended_paths.length) > _MAX_MEAN_CELLS
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        with pytest.raises(CapabilityError):
-            _max_mean_cycle(g)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 1.0
-    assert peak < 1_000_000  # refused before any table is built
+    assert fell_back  # peeling either loop strands the bridge
+    # the best cycle crosses the bridge both ways and each loop once: 2k + 4
+    # darts, 2k at 2 ** (1/k) and 4 at 2 ** (1/2), so 2 ** (2/(k + 2))
+    assert geometric_mean([f[d] for d in cycle]) == exact(2, 1, 11)

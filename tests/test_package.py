@@ -16,8 +16,7 @@ PUBLIC_NAMES = sorted(
     asymptotic_variance average_growth_rate build_graph build_transition_matrix
     build_weighted_matrix centered_bit_values check_cycle_condition check_suspended_path_condition
     complete_bipartite_graph complete_graph cover_growth_rate distribution_csv equal_growth_wheel
-    equal_growth_wheel_parameters exact_bit_distribution factored_nb_operator find_improving_cycle
-    format_graph_text growth_verdict histogram_csv interpolation_matrix is_nb_irreducible
+    equal_growth_wheel_parameters exact_bit_distribution factored_nb_operator format_graph_text growth_verdict histogram_csv interpolation_matrix is_nb_irreducible
     k4_minus_edge load_graph nb_perron parse_graph_text perron run_walks
     save_graph subdivide suspended_path_decomposition tracked_degrees truncated_variance
     variance_report wheel_graph""".split()

@@ -3,11 +3,12 @@
 Line-oriented UTF-8: '#' starts a comment line, the first data line is
 "nbgraph <vertex_count>", then one line per edge: "e <a> <b>" (a == b
 means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
-The darts are numbered here (:func:`number_darts`), for a ``Graph`` of
-:mod:`nbrw.graph` and the compiled kernel's tables alike.  ``nbrw gen``,
-``nbrw pdf`` and ``nbrw walk`` on the compiled kernel, and ``analyze`` and
-``asymvar`` on a header that the sizes refute (:func:`cannot_connect`),
-build no ``Graph``, so this module holds the errors and verdicts they report.
+Each edge is checked here, once, in a graph of at most 2**22 vertices and
+edges (:class:`EdgeList`); the darts are numbered here (:func:`number_darts`)
+for a ``Graph`` and the compiled tables alike.  ``gen``, ``pdf`` and ``walk``
+on the compiled kernel, and ``analyze`` and ``asymvar`` on a header that the
+sizes refute (:func:`cannot_connect`), build no ``Graph``, so their errors
+and verdicts live here.
 """
 
 from enum import Enum
@@ -17,8 +18,9 @@ NORMAL = "normal"
 WHOLE_LOOP = "whole_loop"
 HALF_LOOP = "half_loop"
 
-# every vertex costs a few words in the dart tables, so a header alone could
-# ask for gigabytes; at this size analyze stays under a second and 100 MB
+# the most vertices, and the most edges, that a graph may have: a header alone
+# could otherwise ask for gigabytes, and the int64 bound of nbrw.conditions
+# rests on it.  What analyze costs at this size is still open (ROADMAP)
 _MAX_VERTEX_COUNT = 2**22
 
 
@@ -43,7 +45,7 @@ class IrreducibilityVerdict(str, Enum):
     IS_CYCLE = "is_cycle"
 
 
-class EdgeList(NamedTuple):  # a parsed graph, with every edge checked
+class EdgeList(NamedTuple):  # parse_text or checked_edge_list checked its size and edges; Graph trusts it
     vertex_count: int
     edges: list[tuple[int, int, str]]
 
@@ -81,7 +83,7 @@ class GraphParseError(GraphError):
         self.line_number = line_number
 
 
-def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, int, str]:
+def _checked_edge(vertex_count: int, a: int, b: int, kind: str = NORMAL) -> tuple[int, int, str]:
     """Validate one edge; a normal edge with equal endpoints becomes a whole-loop."""
     if kind not in (NORMAL, WHOLE_LOOP, HALF_LOOP):
         raise GraphError(f"unknown edge kind {kind!r}")
@@ -94,8 +96,17 @@ def _checked_edge(vertex_count: int, a: int, b: int, kind: str) -> tuple[int, in
     return a, b, kind
 
 
+def checked_edge_list(vertex_count: int, edges) -> EdgeList:
+    """The :class:`EdgeList` of ``(a, b)`` or ``(a, b, kind)`` edges, its size and every edge checked."""
+    if not 0 <= vertex_count <= _MAX_VERTEX_COUNT:
+        raise GraphError(f"vertex count {vertex_count} is outside 0..{_MAX_VERTEX_COUNT}")
+    if len(edges) > _MAX_VERTEX_COUNT:
+        raise GraphError(f"{len(edges)} edges; at most {_MAX_VERTEX_COUNT}")
+    return EdgeList(vertex_count, [_checked_edge(vertex_count, *edge) for edge in edges])
+
+
 def parse_text(text: str) -> EdgeList:
-    """``(vertex_count, edges)`` of graph text, every edge checked."""
+    """``(vertex_count, edges)`` of graph text, its size and every edge checked."""
     vertex_count = None
     edges: list[tuple[int, int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -119,6 +130,8 @@ def parse_text(text: str) -> EdgeList:
             kind, ends, what = HALF_LOOP, fields[1:] * 2, "half-loop vertex"
         else:
             raise GraphParseError(lineno, f"unrecognized line {line!r}")
+        if len(edges) == _MAX_VERTEX_COUNT:
+            raise GraphParseError(lineno, f"more than {_MAX_VERTEX_COUNT} edges")
         try:
             a, b = int(ends[0]), int(ends[1])
         except ValueError:

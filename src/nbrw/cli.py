@@ -102,14 +102,14 @@ def cmd_analyze(args) -> int:
 
     from ._text import IrreducibilityVerdict, cannot_connect, number_darts, parse_text
 
-    vertex_count, edges = parse_text(_read_input(args.input))
+    edge_list = vertex_count, edges = parse_text(_read_input(args.input))
     if cannot_connect(vertex_count, len(edges)):
         degrees, verdict = Counter(number_darts(edges)[0]).values(), IrreducibilityVerdict.NOT_CONNECTED
     else:
         from .conditions import growth_verdict
         from .graph import Graph
 
-        g = Graph(vertex_count, edges)
+        g = Graph(edge_list)
         degrees, verdict = g.degrees.tolist(), g.irreducibility
     report: dict = {"graph": _graph_summary(vertex_count, len(edges), degrees), "nb_irreducible": verdict.value}
     if verdict is not IrreducibilityVerdict.OK:
@@ -244,13 +244,13 @@ def cmd_asymvar(args) -> int:
 
     from ._text import IrreducibilityVerdict, cannot_connect, parse_text, require_irreducible
 
-    vertex_count, edges = parse_text(_read_input(args.input))
-    if cannot_connect(vertex_count, len(edges)):  # refused before numpy loads
+    edge_list = parse_text(_read_input(args.input))
+    if cannot_connect(edge_list.vertex_count, len(edge_list.edges)):  # refused before numpy loads
         require_irreducible(IrreducibilityVerdict.NOT_CONNECTED)
     from .graph import Graph
     from .variance import variance_report
 
-    print(json.dumps(variance_report(Graph(vertex_count, edges), args.truncate).to_json()))
+    print(json.dumps(variance_report(Graph(edge_list), args.truncate).to_json()))
     return 0
 
 

@@ -22,7 +22,7 @@ criterion is one vectorised integer comparison over all paths or arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -36,11 +36,6 @@ from .operators import PerronResult, PreconditionError, nb_perron, require_nb_ir
 
 class ConsistencyError(RuntimeError):
     """The two exact checkers disagreed; indicates an implementation bug."""
-
-
-# Potentials and balances are bounded before any is computed; a graph whose
-# bound exceeds int64 runs the same code on Python ints (dtype=object).
-_INT64_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -62,11 +57,9 @@ def _exponents(g: Graph) -> _Exponents:
         values, index = np.unique(g.out_degree_vector(), return_inverse=True)
         factors = [factorize(int(v)) for v in values]
         primes = tuple(sorted({p for f in factors for p in f}))
+        # |potential| <= D max|total - D row|, |balance| <= 2 D (D + 1) max row; at most 2**22 edges (nbrw._text)
+        # give D <= 2**23 and outdeg < 2**23, so max row <= 22 and 4 D (D + 1) max row < 2**53, far inside int64
         table = np.array([[f.get(p, 0) for p in primes] for f in factors], dtype=np.int64)
-        d = g.dart_count
-        # |potential| <= d * max|total - d * row|, balances <= 2 d (d + 1) max row
-        if 4 * d * (d + 1) * int(table.max(initial=0)) >= _INT64_BOUND:
-            table = table.astype(object)
         total = np.bincount(index, minlength=len(values)) @ table
         g._exponent_table = _Exponents(primes, table[index], total)
     return g._exponent_table
@@ -150,26 +143,21 @@ class _Potential:
         A potential repeats few values (it is constant on the darts leaving
         each vertex of degree >= 3), so darts with equal rows share one
         pair list."""
-        rows, index = self.rows, None
-        if rows.dtype != object:  # rows beyond int64 are reduced one by one
-            # group the rows by 1-D keys: the first column, then each next one
-            # folded in and renumbered, so that a key stays below D**2
-            _, first, index = np.unique(rows[:, 0], return_index=True, return_inverse=True)
-            for column in rows.T[1:]:
-                values, rank = np.unique(column, return_inverse=True)
-                _, first, index = np.unique(index * len(values) + rank, return_index=True, return_inverse=True)
-            rows = rows[first]
+        # group the rows by 1-D keys: the first column, then each next one
+        # folded in and renumbered, so that a key stays below D**2
+        _, first, index = np.unique(self.rows[:, 0], return_index=True, return_inverse=True)
+        for column in self.rows.T[1:]:
+            values, rank = np.unique(column, return_inverse=True)
+            _, first, index = np.unique(index * len(values) + rank, return_index=True, return_inverse=True)
+        rows = self.rows[first]
         common = np.gcd(rows, self.scale)
         nums, dens = (rows // common).tolist(), (self.scale // common).tolist()
         pairs = [[[p, n, m] for p, n, m in zip(self.primes, num, den) if n] for num, den in zip(nums, dens)]
-        if index is not None:
-            pairs = [pairs[i] for i in index.tolist()]
-        return dict(zip(map(str, range(len(pairs))), pairs))
+        return {str(d): pairs[i] for d, i in enumerate(index.tolist())}
 
     def log(self) -> np.ndarray:
         """Natural log of phi, in floating point."""
-        logs = np.log(np.asarray(self.primes, dtype=np.float64))
-        return np.asarray(self.rows @ logs, dtype=np.float64) / self.scale
+        return self.rows @ np.log(self.primes) / self.scale
 
 
 @dataclass(frozen=True)
@@ -433,7 +421,8 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
     from the lift of the solve on B reduced to its branching darts
     (:func:`nb_perron`).  Either start is certified on B; if floating point
     cannot resolve its bracket to ``rel_tol``, the shifted power iteration
-    on B goes on from it.
+    on B goes on from it.  An equal verdict reports rho as Lambda's float,
+    so the gap is 0.0; its bracket stays the float check.
     """
     path_verdict = check_suspended_path_condition(g)
     cycle_verdict = check_cycle_condition(g)
@@ -448,6 +437,7 @@ def growth_verdict(g: Graph, rel_tol: float = 1e-12) -> GrowthVerdict:
         log_phi = cycle_verdict.phi.log()
         start = np.exp(np.maximum(log_phi - log_phi.max(), -700.0))  # stays a positive normal float
     rho = nb_perron(g, rel_tol=rel_tol, start=start)
+    rho = replace(rho, value=lam_float) if path_verdict.holds else rho
     return GrowthVerdict(
         equal=path_verdict.holds,
         lambda_exact=lam,

@@ -105,8 +105,10 @@ class ExactValue:
     def __ge__(self, other: "ExactValue") -> bool:
         return self._compare(other) >= 0
 
-    def __float__(self) -> float:
-        return float(pow(2.0, self.log2()))
+    def __float__(self) -> float:  # exp(sum q ln p) to 40 digits, rounded once to the nearest float
+        with localcontext(Context(prec=40)):
+            return float(Decimal(sum(q.numerator * Decimal(p).ln() / q.denominator
+                                     for p, q in self._exponents.items())).exp())
 
     def log2(self) -> float:
         """Floating-point base-2 logarithm."""

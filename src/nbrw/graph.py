@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 # the edge kinds, both errors and the verdict are this module's public names too
-from ._text import (HALF_LOOP, NORMAL, WHOLE_LOOP, GraphError, GraphParseError, IrreducibilityVerdict, _checked_edge,
-                    cannot_connect, format_text, number_darts, parse_text)
+from ._text import (HALF_LOOP, NORMAL, WHOLE_LOOP, EdgeList, GraphError, GraphParseError, IrreducibilityVerdict,
+                    cannot_connect, checked_edge_list, format_text, number_darts, parse_text)
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,14 @@ class SuspendedPaths:
 
 
 class Graph:
-    """Immutable undirected multigraph with a materialized dart table.
+    """Immutable undirected multigraph with a materialized dart table, built from an
+    :class:`~nbrw._text.EdgeList` that :func:`build_graph` or ``parse_text`` checked and bounded."""
 
-    Build instances through :func:`build_graph` (or the generators in
-    :mod:`nbrw.families`); the constructor performs full validation.
-    """
-
-    def __init__(self, vertex_count: int, edges: list[tuple[int, int, str]]):
-        if vertex_count < 0:
-            raise GraphError("vertex_count must be non-negative")
-        self.vertex_count = vertex_count
-        self.edges: tuple[tuple[int, int, str], ...] = tuple(
-            _checked_edge(vertex_count, a, b, kind) for a, b, kind in edges
-        )
+    def __init__(self, edge_list: EdgeList, *unchecked):
+        if unchecked or not isinstance(edge_list, EdgeList):
+            raise TypeError("Graph takes a checked EdgeList: build one with build_graph or parse_text")
+        self.vertex_count = edge_list.vertex_count
+        self.edges: tuple[tuple[int, int, str], ...] = tuple(edge_list.edges)
         tail, paired = number_darts(self.edges)
         self.dart_tail = np.asarray(tail, dtype=np.int64)
         self.dart_count = len(tail)
@@ -140,13 +135,13 @@ class Graph:
 
 
 def build_graph(vertex_count: int, edge_list: list[tuple[int, int] | tuple[int, int, str]]) -> Graph:
-    """Build a multigraph from ``(a, b)`` or ``(a, b, kind)`` tuples.
+    """Build a multigraph of at most 2**22 vertices and 2**22 edges, as a
+    graph file may have, from ``(a, b)`` or ``(a, b, kind)`` tuples.
 
     Kinds are ``"normal"`` (default), ``"whole_loop"`` and ``"half_loop"``;
     a normal edge with equal endpoints is stored as a whole-loop.
     """
-    edges = [(*item, NORMAL) if len(item) == 2 else tuple(item) for item in edge_list]
-    return Graph(vertex_count, edges)  # type: ignore[arg-type]
+    return Graph(checked_edge_list(vertex_count, edge_list))
 
 
 def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
@@ -187,7 +182,7 @@ def _is_connected(g: Graph) -> bool:
 
 
 def parse_graph_text(text: str) -> Graph:
-    return Graph(*parse_text(text))
+    return Graph(parse_text(text))
 
 
 def format_graph_text(g: Graph, comment: str | None = None) -> str:

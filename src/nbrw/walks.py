@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _rng
-from ._text import HALF_LOOP, CapabilityError, EdgeList, PreconditionError, number_darts, require_irreducible
+from ._text import CapabilityError, EdgeList, PreconditionError, number_darts, require_irreducible
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -64,13 +64,14 @@ class WalkBatch:
     count or engine.
     """
 
-    def __init__(self, g: Graph | EdgeList, length: int, seed: int, degrees: tuple[int, ...],
+    def __init__(self, dart_count: int, length: int, seed: int, degrees: tuple[int, ...],
                  counts, end_darts, engine: str):
+        self.dart_count = dart_count
         self.length = length
         self.seed = seed
         self.degrees = degrees
         self.engine = engine
-        self._counts, self._end_darts, self._edges = counts, end_darts, g.edges
+        self._counts, self._end_darts = counts, end_darts
 
     @property
     def counts(self) -> np.ndarray:
@@ -83,10 +84,6 @@ class WalkBatch:
         import numpy as np
 
         return np.asarray(self._end_darts)
-
-    @property
-    def dart_count(self) -> int:
-        return sum(1 if kind == HALF_LOOP else 2 for *_, kind in self._edges)
 
     @property
     def sample_count(self) -> int:
@@ -192,7 +189,7 @@ def _tables(g: Graph | EdgeList, engine: str) -> tuple:
         return _compiled_tables(g)
     from .graph import Graph
 
-    g = g if isinstance(g, Graph) else Graph(g.vertex_count, g.edges)
+    g = g if isinstance(g, Graph) else Graph(g)
     require_irreducible(g.irreducibility)
     return _walk_tables(g)
 
@@ -273,7 +270,7 @@ def run_walks(
             thread.join()
         if failures:
             raise failures[0]
-    return WalkBatch(g, length, seed, degrees, counts, end_darts, engine=name)
+    return WalkBatch(len(out_flat), length, seed, degrees, counts, end_darts, engine=name)
 
 
 # --- exact distribution -------------------------------------------------------

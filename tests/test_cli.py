@@ -563,6 +563,57 @@ def test_hostile_header_refused_without_numpy(blocked_inputs, tmp_path, argv):
     _same_without_numpy(blocked_inputs, tmp_path, [argv[0], "{hostile}", *argv[1:]], 2)
 
 
+# the edge cap, lowered to 8: K_{2,4} has 8 edges and is accepted; the wheel
+# n=3 l1=2 l2=1 has 9, and its ninth edge, on line 10, is refused
+CAP_COMMANDS = {"analyze": ["analyze"], "analyze-json": ["analyze", "--json"], "asymvar": ["asymvar"],
+                "walk": ["walk", "--len", "8", "--samples", "4"], "pdf": ["pdf", "--len", "8"]}
+
+
+@pytest.mark.parametrize("case", ["parse_text", "build_graph", "gen", *CAP_COMMANDS])
+def test_one_edge_past_the_cap_is_refused(tmp_path, capsys, monkeypatch, case):
+    from nbrw import _text, families
+
+    at_cap, past_cap = families.complete_bipartite_edges(2, 4), families.wheel_edges(3, 2, 1)
+    for module in (_text, families):
+        monkeypatch.setattr(module, "_MAX_VERTEX_COUNT", 8)
+    if case == "parse_text":
+        assert len(_text.parse_text(_text.format_text(*at_cap)).edges) == 8
+        with pytest.raises(nbrw.GraphParseError, match="^line 10: more than 8 edges$"):
+            _text.parse_text(_text.format_text(*past_cap))
+    elif case == "build_graph":
+        assert len(nbrw.build_graph(*at_cap).edges) == 8
+        with pytest.raises(nbrw.GraphError, match="^9 edges; at most 8$") as err:
+            nbrw.build_graph(*past_cap)
+        assert not isinstance(err.value, nbrw.GraphParseError)
+    elif case == "gen":
+        assert run_cli(capsys, "gen", "bipartite", "--a", "2", "--b", "4")[0] == 0
+        code, out, err = run_cli(capsys, "gen", "wheel", "--n", "3", "--l1", "2", "--l2", "1")
+        assert code == 64 and out == ""
+        assert err == "gen wheel: invalid parameters: wheel would have 7 vertices and 9 edges; at most 8\n"
+    else:
+        path = tmp_path / "g.txt"
+        path.write_text(_text.format_text(*at_cap))
+        argv = [CAP_COMMANDS[case][0], str(path), *CAP_COMMANDS[case][1:]]
+        assert run_cli(capsys, *argv)[0] == 0  # K_{2,4} is an equal graph
+        path.write_text(_text.format_text(*past_cap))
+        assert run_cli(capsys, *argv) == (2, "", "error: line 10: more than 8 edges\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "asymvar"])
+def test_commands_check_each_edge_once(k4e_file, capsys, command):
+    from nbrw import _text
+
+    checks = []
+    target = _text._checked_edge.__code__
+    sys.setprofile(lambda frame, event, _: event == "call" and frame.f_code is target and checks.append(1))
+    try:
+        code = run_cli(capsys, command, k4e_file)[0]
+    finally:
+        sys.setprofile(None)
+    assert code in (0, 1)
+    assert len(checks) == 5  # k4e has 5 edges
+
+
 def test_asymvar_json(k4e_file, capsys):
     code, out, _ = run_cli(capsys, "asymvar", k4e_file, "--truncate", "64", "128")
     assert code == 0

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -201,6 +203,44 @@ def test_verdict_numeric_consistency_on_corpus():
             assert abs(v.gap) <= 1e-8
         else:
             assert v.gap >= 1e-6
+
+
+@cache
+def float_corpus():
+    """600 small random graphs, hk1..hk12, w5-2-3 and w17-2-5."""
+    rng = random.Random(4242)
+    graphs = [random_nb_irreducible(rng, max_vertices=10) for _ in range(600)]
+    return graphs + [equal_growth_wheel(k) for k in range(1, 13)] + [wheel_graph(5, 2, 3), wheel_graph(17, 2, 5)]
+
+
+def float_by_powers(value):
+    """``float(value)`` through a product of 60-digit decimal powers."""
+    with localcontext(Context(prec=60)):
+        product = Decimal(1)
+        for p, q in value.exponents.items():
+            product *= Decimal(p) ** (Decimal(q.numerator) / q.denominator)
+        return float(product)
+
+
+def test_lambda_float_is_correctly_rounded():
+    two_vertices_four_edges = build_graph(2, [(0, 1)] * 4)
+    assert average_growth_rate(two_vertices_four_edges)[1] == 3.0
+    assert growth_verdict(two_vertices_four_edges).lambda_float == 3.0
+    for g in float_corpus():
+        lam, lam_float = average_growth_rate(g)
+        assert lam_float == float_by_powers(lam), g
+
+
+def test_equal_verdict_reports_rho_as_lambda():
+    equal = 0
+    for g in float_corpus():
+        v = growth_verdict(g)
+        if v.equal:
+            equal += 1
+            assert v.perron.low <= v.lambda_float <= v.perron.high, g
+            assert v.rho == v.lambda_float and v.gap == 0.0, g
+            assert v.perron.matvecs == v.perron.iterations == 1
+    assert equal == 33
 
 
 def test_requires_irreducibility():

@@ -1,17 +1,15 @@
 """The integer-exponent criteria against the ExactValue criteria they
 replaced (``_reference_criteria``): identical lambda, verdicts, path and
 cycle witnesses and potentials, on a corpus of random multigraphs and the
-named graphs, through int64 arrays and through the Python-int fallback."""
+named graphs."""
 
 import random
 
 import numpy as np
-import pytest
 
 import _reference_criteria as reference
 from nbrw import (
     average_growth_rate,
-    build_graph,
     check_cycle_condition,
     check_suspended_path_condition,
     complete_bipartite_graph,
@@ -22,7 +20,6 @@ from nbrw import (
     suspended_path_decomposition,
     wheel_graph,
 )
-from nbrw import conditions
 from nbrw.graph import HALF_LOOP, NORMAL, WHOLE_LOOP
 
 from _corpus import random_nb_irreducible, random_regular
@@ -83,17 +80,7 @@ def test_integer_criteria_match_reference_on_corpus():
     assert any(v.holds and len(set(reference.potential(v).values())) > 1 for v in verdicts)
 
 
-def test_python_int_fallback_matches_reference(monkeypatch):
-    monkeypatch.setattr(conditions, "_INT64_BOUND", 0)
-    for g in corpus():
-        g = build_graph(g.vertex_count, list(g.edges))  # nothing cached from an int64 run
-        _same_criteria(g)
-        assert conditions._exponents(g).rows.dtype == object
-
-
-@pytest.mark.parametrize("bound", [2**62, 0])
-def test_potential_pairs_are_lowest_terms(bound, monkeypatch):
-    monkeypatch.setattr(conditions, "_INT64_BOUND", bound)
+def test_potential_pairs_are_lowest_terms():
     g = equal_growth_wheel(4)
     phi = check_cycle_condition(g).to_json()["witness"]["phi"]
     for pairs in phi.values():

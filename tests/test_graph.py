@@ -78,6 +78,22 @@ def test_construction_errors():
         build_graph(2, [(0, 1, "bogus")])
 
 
+def test_graph_takes_only_a_checked_edge_list(k4e):
+    from nbrw import Graph
+    from nbrw._text import EdgeList
+
+    assert Graph(EdgeList(k4e.vertex_count, list(k4e.edges))).edges == k4e.edges
+    for args in ((4, list(k4e.edges)), ((4, list(k4e.edges)),)):
+        with pytest.raises(TypeError, match="build_graph or parse_text"):
+            Graph(*args)
+
+
+@pytest.mark.parametrize("vertex_count", [-1, 2**22 + 1])
+def test_build_graph_bounds_the_vertex_count(vertex_count):
+    with pytest.raises(GraphError, match=f"^vertex count {vertex_count} is outside 0..4194304$"):
+        build_graph(vertex_count, [])
+
+
 def test_transitions_k4e(k4e):
     # dart 0 = (u1,u2); continuations leave u2 toward v1 and v2
     succ = dart_transitions(k4e, 0)

@@ -163,7 +163,7 @@ def test_bit_stats_exact_where_int64_moments_would_overflow(k4e):
     base = 3 * 10**9
     for start in (base, 0):  # beyond the bound, and the same deviations within it
         counts = np.array([[start], [start + 2], [start + 4], [start + 6]], dtype=np.int64)
-        batch = walks.WalkBatch(k4e, 10**10, 0, (2,), counts, np.zeros(4, dtype=np.int32), engine="python")
+        batch = walks.WalkBatch(k4e.dart_count, 10**10, 0, (2,), counts, np.zeros(4, dtype=np.int32), engine="python")
         stats = batch.bit_stats()
         assert stats.variance_of_bits == 20 / 3
         assert stats.mean_bits_per_step == (start + 3) / 10**10

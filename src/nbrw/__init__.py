@@ -30,7 +30,7 @@ _EXPORTS = {
     " run_walks tracked_degrees",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = frozenset(["cli", "_kernels", "_rng", *_EXPORTS])
+_SUBMODULES = frozenset(["cli", "_kernels", *_EXPORTS])
 
 __all__ = list(_ORIGIN)
 

@@ -171,12 +171,13 @@ static int64_t root_of(int64_t *parent, int64_t v)
     return v;
 }
 
-/* The tables sample_counts reads, as nbrw.walks._walk_tables builds them
- * from a Graph, here from each dart's tail in Graph's numbering: the paired
- * darts first, 2i and 2i + 1 the reverse of each other, then the half-loop
- * darts, each its own reverse.  The verdict of nbrw.graph.is_nb_irreducible
- * comes first, with the same checks in the same order, and a header with too
- * few edges to connect its vertices allocates nothing per vertex. */
+/* The tables sample_counts reads, from each dart's tail: the paired darts
+ * first, 2i and 2i + 1 the reverse of each other, then the half-loop darts,
+ * each its own reverse (nbrw._text.number_darts).  nbrw._kernels.fallback
+ * has the numpy twin.  The verdict of nbrw.graph.is_nb_irreducible comes
+ * first, with the same checks in the same order, and the tables follow for
+ * every graph; a dart on a cycle component gets anchor = dist = -1.  The
+ * callers refuse a header with too few edges to connect its vertices first. */
 static PyObject *walk_tables(PyObject *self, PyObject *args)
 {
     Py_ssize_t n_vertices, paired;
@@ -193,10 +194,6 @@ static PyObject *walk_tables(PyObject *self, PyObject *args)
         valid = tail[e] >= 0 && tail[e] < n_vertices;
     if (!valid) {
         PyErr_SetString(PyExc_ValueError, "tails must be vertices, with an even number of paired darts first");
-        goto done;
-    }
-    if (n_vertices == 0 || n_vertices > paired / 2 + (n_darts - paired) + 1) { /* a spanning tree needs V - 1 edges */
-        result = Py_BuildValue("(s)", "not_connected");
         goto done;
     }
     /* per vertex its offset in out_flat (its degree at first, one place
@@ -222,12 +219,8 @@ static PyObject *walk_tables(PyObject *self, PyObject *args)
         min_degree = offsets[v] < min_degree ? offsets[v] : min_degree;
         max_degree = offsets[v] > max_degree ? offsets[v] : max_degree;
     }
-    const char *verdict = components > 1 ? "not_connected" : min_degree < 2 ? "min_degree_below_2"
-                          : max_degree <= 2 ? "is_cycle" : NULL;
-    if (verdict) {
-        result = Py_BuildValue("(s)", verdict);
-        goto done;
-    }
+    const char *verdict = components != 1 ? "not_connected" : min_degree < 2 ? "min_degree_below_2"
+                          : max_degree <= 2 ? "is_cycle" : "ok";
 
     /* the darts grouped by tail, ascending in each group, by a counting sort,
      * with each dart's place in scratch; then the tracked degrees, the
@@ -248,7 +241,8 @@ static PyObject *walk_tables(PyObject *self, PyObject *args)
         scratch[e] = parent[tail[e]]++;
     }
     for (Py_ssize_t v = 0; v < n_vertices; v++)
-        index_of[offsets[v + 1] - offsets[v] - 1] = 1;
+        if (offsets[v + 1] > offsets[v]) /* a vertex of degree 0 is no dart's head */
+            index_of[offsets[v + 1] - offsets[v] - 1] = 1;
     for (int64_t d = 2; d < max_degree; d++)
         index_of[d] = index_of[d] ? tracked++ : -1;
     for (e = 0; e < n_darts; e++) {
@@ -258,28 +252,29 @@ static PyObject *walk_tables(PyObject *self, PyObject *args)
         skip[e] = scratch[reverse];
         outdeg[e] = offsets[head + 1] - offsets[head] - 1;
         value_index[e] = outdeg[e] > 1 ? (int32_t)index_of[outdeg[e]] : -1;
-        dist[e] = -1;
+        dist[e] = -2;
     }
-    /* anchor and dist, as Graph.suspended_paths has them: follow the one
-     * successor to the first branching dart, stacking the darts on the way
-     * in scratch (marked -2, so that a cycle of them, which an irreducible
-     * graph has not, would end the loop), then fill them in backwards */
+    /* anchor and dist: follow the one successor to the first dart with outdeg
+     * other than 1, stacking the darts on the way in scratch (marked -3), then
+     * fill them in backwards; a walk back to a stacked dart went round a cycle
+     * component.  dist is -2 on a dart not reached yet */
     for (e = 0; e < n_darts; e++) {
         Py_ssize_t top = 0;
         int64_t f = e;
-        while (dist[f] == -1 && outdeg[f] == 1) {
-            dist[f] = -2;
+        while (dist[f] == -2 && outdeg[f] == 1) {
+            dist[f] = -3;
             scratch[top++] = f;
             f = flat[first[f] + (first[f] >= skip[f])];
         }
-        if (dist[f] < 0) {
+        if (dist[f] == -2) {
             anchor[f] = f;
             dist[f] = 0;
         }
+        int cycle = dist[f] == -3;
         while (top > 0) {
             int64_t g = scratch[--top];
-            anchor[g] = anchor[f];
-            dist[g] = dist[f] + 1;
+            anchor[g] = cycle ? -1 : anchor[f];
+            dist[g] = cycle ? -1 : dist[f] + 1;
             f = g;
         }
     }
@@ -288,7 +283,7 @@ static PyObject *walk_tables(PyObject *self, PyObject *args)
     for (int64_t d = 2; d < max_degree; d++)
         if (index_of[d] >= 0)
             ((int64_t *)PyBytes_AS_STRING(out[3]))[index_of[d]] = d;
-    result = Py_BuildValue("(sOOOO)", "ok", out[0], out[1], out[2], out[3]);
+    result = Py_BuildValue("(sOOOO)", verdict, out[0], out[1], out[2], out[3]);
 done:
     PyMem_Free(offsets);
     for (int i = 0; i < 4; i++)
@@ -304,8 +299,8 @@ static PyMethodDef methods[] = {
      "and recording the final dart of each walk."},
     {"walk_tables", walk_tables, METH_VARARGS,
      "walk_tables(vertex_count, paired_darts, tails)\n"
-     "(verdict,) for a graph that is not NB-irreducible, else ('ok', out_flat,\n"
-     "dart_table, value_index, degrees), each as the bytes of a flat array."},
+     "(verdict, out_flat, dart_table, value_index, degrees), the four tables\n"
+     "as the bytes of flat arrays."},
     {NULL, NULL, 0, NULL},
 };
 

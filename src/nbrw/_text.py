@@ -5,10 +5,11 @@ Line-oriented UTF-8: '#' starts a comment line, the first data line is
 means whole-loop) or "hl <a>" for a half-loop.  Vertex ids are 0-based.
 Each edge is checked here, once, in a graph of at most 2**22 vertices and
 edges (:class:`EdgeList`); the darts are numbered here (:func:`number_darts`)
-for a ``Graph`` and the compiled tables alike.  ``gen``, ``pdf`` and ``walk``
-on the compiled kernel, and ``analyze`` and ``asymvar`` on a header that the
-sizes refute (:func:`cannot_connect`), build no ``Graph``, so their errors
-and verdicts live here.
+for the one table builder, ``nbrw._kernels.walk_tables``, whether a
+``Graph`` calls it or ``walks`` does on the edge list.  ``gen``, ``pdf`` and
+``walk``, and ``analyze`` and ``asymvar`` on a header that the sizes refute
+(:func:`cannot_connect`), build no ``Graph``, so their errors and verdicts
+live here.
 """
 
 from enum import Enum

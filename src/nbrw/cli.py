@@ -7,9 +7,10 @@ failed precondition or a rho bracket that rounding keeps wider than
 ``--tol``, 64 for usage errors.
 
 Each command imports the modules it runs: ``gen`` writes the families'
-edge lists, and ``pdf`` and ``walk`` read the dart tables that the compiled
-kernel builds from the parsed edge list, all without numpy, ``graph`` or
-``operators``; only ``analyze`` and ``asymvar`` load them and the
+edge lists, and ``pdf`` and ``walk`` read the dart tables that
+``nbrw._kernels.walk_tables`` builds from the parsed edge list, all
+without ``graph`` or ``operators``, and without numpy when the compiled
+kernel is built; only ``analyze`` and ``asymvar`` load them and the
 criteria, once the parsed edge list has passed the size test.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -73,17 +73,6 @@ def _write_output(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _effective_workers(requested: int) -> int:
-    cap = os.environ.get("NBRW_THREADS")
-    if cap:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            print(f"error: NBRW_THREADS must be an integer, got {cap!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE) from None
-    return max(1, requested)
 
 
 def _graph_summary(vertex_count: int, edge_count: int, degrees) -> dict:
@@ -205,7 +194,7 @@ def cmd_walk(args) -> int:
     from ._text import parse_text
     from .walks import histogram_csv, run_walks
 
-    workers = _effective_workers(args.workers)
+    workers = max(1, args.workers)
     batch = run_walks(parse_text(_read_input(args.input)), args.length, args.samples, args.seed, workers=workers)
     stats = batch.bit_stats()
     print(f"length: {stats.length}")

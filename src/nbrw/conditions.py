@@ -42,26 +42,29 @@ class ConsistencyError(RuntimeError):
 class _Exponents:
     """log outdeg(e) and log lambda as integer vectors over ``primes``.
 
-    ``rows[e]`` holds the prime exponents of outdeg(e) and ``total`` their
-    sum over all darts, so lambda = prod(p ** (total_p / dart_count)).
+    ``table[index[e]]`` holds the prime exponents of outdeg(e) and ``total``
+    their sum over all darts, so lambda = prod(p ** (total_p / dart_count)).
+    ``index`` is the walk tables' value index, a view: row i of ``table`` is
+    the i-th tracked degree's, and row -1, all zeros, outdeg 1's.
     """
 
     primes: tuple[int, ...]
-    rows: np.ndarray
+    table: np.ndarray
+    index: np.ndarray
     total: np.ndarray
 
 
 def _exponents(g: Graph) -> _Exponents:
     """The graph's exponent table, computed once per (immutable) graph."""
     if not hasattr(g, "_exponent_table"):
-        values, index = np.unique(g.out_degree_vector(), return_inverse=True)
-        factors = [factorize(int(v)) for v in values]
+        *_, index, degrees = g._layout
+        factors = [factorize(int(d)) for d in degrees]
         primes = tuple(sorted({p for f in factors for p in f}))
         # |potential| <= D max|total - D row|, |balance| <= 2 D (D + 1) max row; at most 2**22 edges (nbrw._text)
         # give D <= 2**23 and outdeg < 2**23, so max row <= 22 and 4 D (D + 1) max row < 2**53, far inside int64
-        table = np.array([[f.get(p, 0) for p in primes] for f in factors], dtype=np.int64)
-        total = np.bincount(index, minlength=len(values)) @ table
-        g._exponent_table = _Exponents(primes, table[index], total)
+        table = np.array([[f.get(p, 0) for p in primes] for f in [*factors, {}]], dtype=np.int64)
+        total = np.bincount(index[index >= 0], minlength=len(degrees)) @ table[:-1]
+        g._exponent_table = _Exponents(primes, table, index, total)
     return g._exponent_table
 
 
@@ -203,7 +206,7 @@ def check_suspended_path_condition(g: Graph) -> ConditionVerdict:
     lam = _lambda(g)
     ex, paths = _exponents(g), g.suspended_paths
     # path i begins at rev(last[reverse[i]]), whose indeg is outdeg(last[reverse[i]])
-    out = ex.rows[paths.last]
+    out = ex.table[ex.index[paths.last]]
     balance = g.dart_count * (out + out[paths.reverse]) - (2 * paths.length)[:, None] * ex.total
     bad = (balance != 0).any(axis=1)[paths.path]
     if bad.any():
@@ -299,7 +302,7 @@ def check_cycle_condition(g: Graph) -> ConditionVerdict:
     lam = _lambda(g)
     ex = _exponents(g)
     d = g.dart_count
-    step = ex.total - d * ex.rows
+    step = (ex.total - d * ex.table)[ex.index]
     root = 0
     parent, levels = _bfs(g, root)
     if (parent < 0).sum() > 1:

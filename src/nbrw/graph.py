@@ -4,8 +4,10 @@ A dart is one orientation of an undirected edge.  Normal edges and
 whole-loops contribute two mutually-reverse darts; a half-loop contributes
 a single dart that is its own reverse.  Darts of the i-th paired edge
 occupy indices 2i and 2i+1 (reverse = index XOR 1); half-loop darts are
-appended after all paired darts: :func:`nbrw._text.number_darts`, which
-the compiled walk tables read too.
+appended after all paired darts: :func:`nbrw._text.number_darts`.  The
+darts are laid out once, by :func:`nbrw._kernels.walk_tables`: the verdict,
+the out-dart table, the chain successors and the path layout are read off
+its output.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ class Graph:
             raise TypeError("Graph takes a checked EdgeList: build one with build_graph or parse_text")
         self.vertex_count = edge_list.vertex_count
         self.edges: tuple[tuple[int, int, str], ...] = tuple(edge_list.edges)
-        tail, paired = number_darts(self.edges)
+        tail, self._paired = number_darts(self.edges)
         self.dart_tail = np.asarray(tail, dtype=np.int64)
         self.dart_count = len(tail)
-        self.dart_reverse = np.arange(self.dart_count) ^ (np.arange(self.dart_count) < paired)
+        self.dart_reverse = np.arange(self.dart_count) ^ (np.arange(self.dart_count) < self._paired)
         self.dart_head = self.dart_tail[self.dart_reverse]
 
     @cached_property
@@ -64,11 +66,23 @@ class Graph:
         return np.bincount(self.dart_tail, minlength=self.vertex_count).astype(np.int64)
 
     @cached_property
+    def _layout(self) -> tuple:
+        """:func:`nbrw._kernels.walk_tables` of this graph, built on first
+        use: its verdict, then ``out_flat``, the rows of ``dart_table``,
+        ``value_index`` and the tracked degrees as read-only numpy views."""
+        from ._kernels import walk_tables
+
+        verdict, out_flat, dart_table, value_index, degrees = walk_tables(self.vertex_count, self._paired,
+                                                                           self.dart_tail)
+        return (verdict, np.frombuffer(out_flat, np.int64), np.frombuffer(dart_table, np.int64).reshape(5, -1),
+                np.frombuffer(value_index, np.int32), np.frombuffer(degrees, np.int64))
+
+    @cached_property
     def out_dart_table(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(offsets, flat)`` of the darts leaving each vertex, ascending."""
         offsets = np.zeros(self.vertex_count + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=offsets[1:])
-        return offsets, np.argsort(self.dart_tail, kind="stable").astype(np.int64)
+        return offsets, self._layout[1]
 
     def out_degree(self, dart_index: int) -> int:
         """Number of non-backtracking continuations: degree(head) - 1."""
@@ -84,12 +98,11 @@ class Graph:
     def chain_successor(self) -> np.ndarray:
         """The only successor of each dart whose head has degree two, -1 for
         every other dart.  Built on first use, so read-only."""
-        chain = np.flatnonzero(self.degrees[self.dart_head] == 2)
-        offsets, flat = self.out_dart_table
-        first = offsets[self.dart_head[chain]]
-        a, b = flat[first], flat[first + 1]
+        _, flat, (first, skip, outdeg, _, _), *_ = self._layout
+        chain = np.flatnonzero(outdeg == 1)
+        k = first[chain]
         successor = np.full(self.dart_count, -1, dtype=np.int64)
-        successor[chain] = np.where(a == self.dart_reverse[chain], b, a)
+        successor[chain] = flat[k + (k >= skip[chain])]
         successor.flags.writeable = False
         return successor
 
@@ -97,22 +110,11 @@ class Graph:
     def suspended_paths(self) -> SuspendedPaths:
         """The path layout (see :class:`SuspendedPaths`), built on first use,
         so read-only; defined for every graph with no cycle component.
-
-        A dart with outdeg 1 moves to its one successor and every other dart
-        stays put; pointer doubling along those moves finds each dart's
-        anchor and distance in O(D log D).
-        """
-        successor = self.chain_successor
-        is_last = successor < 0
-        anchor = np.where(is_last, np.arange(self.dart_count), successor)
-        dist = (~is_last).astype(np.int64)
-        for _ in range(self.dart_count.bit_length() + 1):
-            if is_last[anchor].all():
-                break
-            dist += dist[anchor]
-            anchor = anchor[anchor]
-        else:
+        ``anchor`` and ``dist`` are the rows of the walk tables."""
+        anchor, dist = self._layout[2][3:]
+        if (dist < 0).any():
             raise GraphError("suspended path did not terminate: the graph has a cycle component")
+        is_last = dist == 0
         last = np.flatnonzero(is_last)
         path = (np.cumsum(is_last) - 1)[anchor]
         branching = self.degrees != 2
@@ -148,34 +150,13 @@ def is_nb_irreducible(g: Graph) -> IrreducibilityVerdict:
     """Check connectivity, min degree >= 2, max degree > 2, in that order.
 
     These three conditions together are exactly when the non-backtracking
-    walk visits every dart from every dart.
+    walk visits every dart from every dart.  The sizes are tested first, so
+    a header that the edges cannot connect costs nothing per vertex; the
+    table builder that lays out ``g`` decides the rest.
     """
-    if cannot_connect(g.vertex_count, len(g.edges)) or not _is_connected(g):
+    if cannot_connect(g.vertex_count, len(g.edges)):
         return IrreducibilityVerdict.NOT_CONNECTED
-    if int(g.degrees.min()) < 2:
-        return IrreducibilityVerdict.MIN_DEGREE_BELOW_2
-    if int(g.degrees.max()) <= 2:
-        return IrreducibilityVerdict.IS_CYCLE
-    return IrreducibilityVerdict.OK
-
-
-def _is_connected(g: Graph) -> bool:
-    """Whether every vertex's component label, the smallest vertex in its
-    component over the darts, is 0.  Min-label hooking: every root takes
-    the smallest root across its darts, then pointer jumping sends every
-    vertex to its root."""
-    label = np.arange(g.vertex_count)
-    while True:
-        tails, heads = label[g.dart_tail], label[g.dart_head]
-        cross = tails != heads
-        if not cross.any():
-            return not label.any()
-        np.minimum.at(label, tails[cross], heads[cross])
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
+    return IrreducibilityVerdict(g._layout[0])
 
 
 # --- text format: nbrw._text holds the one parser and the one writer --------

@@ -12,8 +12,9 @@ probability has the closed form  count / (dart_count * prod(degree**count)).
 Each dart keeps one dict from count vector, as one integer key, to walk
 count, so an equal graph, whose bit total telescopes, stores a few states
 per dart at any length.  The sampler and the exact law read one set of
-dart tables (:func:`_tables`): with the compiled kernel, built in C from
-the edge list, without numpy; with the numpy fallback, off a ``Graph``.
+dart tables (:func:`_tables`), which :func:`nbrw._kernels.walk_tables`
+builds from the edge list or a ``Graph`` holds: in C, without numpy, when
+the compiled kernel is built, else with its numpy twin.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from collections import Counter
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import _rng
-from ._text import CapabilityError, EdgeList, PreconditionError, number_darts, require_irreducible
+from ._text import (CapabilityError, EdgeList, IrreducibilityVerdict, PreconditionError, cannot_connect, number_darts,
+                    require_irreducible)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -129,69 +130,29 @@ class WalkBatch:
         return np.bincount(self.end_darts, minlength=self.dart_count)
 
 
-def _walk_tables(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """``out_flat``, the darts grouped by tail; ``dart_table``, rows ``first``,
-    ``skip``, ``outdeg``, ``anchor`` and ``dist`` with one column per dart;
-    each dart's index into the tracked degrees (-1 for outdeg 1); and the
-    tracked degrees.  Built once per (immutable) graph, so read-only.
-
-    The successors of e are the darts leaving head(e), at ``first[e]``
-    onwards in ``out_flat``, minus reverse(e), at ``skip[e]``; so e's j-th
-    successor (ascending, j < outdeg(e)) is ``out_flat[k + (k >= skip[e])]``
-    with ``k = first[e] + j``.  ``anchor`` and ``dist`` are the rows of
-    ``Graph.suspended_paths``: a walk on e reaches ``anchor[e]`` ``dist[e]``
-    steps later without a draw.
-    """
-    import numpy as np
-
-    if not hasattr(g, "_walk_table_cache"):
-        offsets, out_flat = g.out_dart_table
-        position = np.empty(g.dart_count, dtype=np.int64)
-        position[out_flat] = np.arange(g.dart_count)
-        outdeg = g.out_degree_vector()
-        paths = g.suspended_paths
-        dart_table = np.stack((offsets[g.dart_head], position[g.dart_reverse], outdeg, paths.anchor, paths.dist))
-        degrees = tracked_degrees(g)
-        value_index = np.full(g.dart_count, -1, dtype=np.int32)
-        for i, d in enumerate(degrees):
-            value_index[outdeg == d] = i
-        dart_table.flags.writeable = value_index.flags.writeable = False
-        g._walk_table_cache = out_flat, dart_table, value_index, degrees
-    return g._walk_table_cache
-
-
-def _compiled_tables(g: Graph | EdgeList) -> tuple[memoryview, memoryview, memoryview, tuple[int, ...]]:
-    """:func:`_walk_tables` as read-only buffers, which the compiled kernel
-    builds from each dart's tail, without numpy; cached on a ``Graph``.
-    Raises :class:`PreconditionError` unless the graph is NB-irreducible."""
-    tables = getattr(g, "_walk_buffer_cache", None)
-    if tables is None:
+def _tables(g: Graph | EdgeList) -> tuple[memoryview, memoryview, memoryview, tuple[int, ...]]:
+    """The tables of :func:`nbrw._kernels.walk_tables` that the sampler and
+    the exact law read, as read-only buffers: ``out_flat``, ``dart_table``
+    with shape (5, D), ``value_index`` and the tracked degrees.  A
+    ``Graph``'s own, or built from an ``EdgeList`` once its sizes have
+    passed the size test.  Raises :class:`PreconditionError` unless the
+    graph is NB-irreducible."""
+    if isinstance(g, EdgeList):
+        if cannot_connect(g.vertex_count, len(g.edges)):  # refused before anything per vertex is built
+            require_irreducible(IrreducibilityVerdict.NOT_CONNECTED)
         from array import array
 
-        from ._kernels._walk import walk_tables
+        from ._kernels import walk_tables
 
         tail, paired = number_darts(g.edges)
         verdict, *tables = walk_tables(g.vertex_count, paired, array("q", tail))
-        require_irreducible(verdict)
-        out_flat, dart_table, value_index, degrees = map(memoryview, tables)
-        tables = (out_flat.cast("q"), dart_table.cast("q", (5, len(out_flat) // 8)), value_index.cast("i"),
-                  tuple(degrees.cast("q")))
-        if not isinstance(g, tuple):  # an EdgeList is a tuple, and holds no attributes
-            g._walk_buffer_cache = tables
-    return tables
-
-
-def _tables(g: Graph | EdgeList, engine: str) -> tuple:
-    """The tables of :func:`_walk_tables` for ``engine``: built by the
-    compiled kernel from the edge list, else off a ``Graph``.  Raises
-    :class:`PreconditionError` unless the graph is NB-irreducible."""
-    if engine == "compiled":
-        return _compiled_tables(g)
-    from .graph import Graph
-
-    g = g if isinstance(g, Graph) else Graph(g)
-    require_irreducible(g.irreducibility)
-    return _walk_tables(g)
+    else:
+        require_irreducible(g.irreducibility)
+        verdict, *tables = g._layout
+    require_irreducible(verdict)
+    out_flat, dart_table, value_index, degrees = (memoryview(table).cast("B") for table in tables)
+    return (out_flat.cast("q"), dart_table.cast("q", (5, len(out_flat) // 8)), value_index.cast("i"),
+            tuple(degrees.cast("q")))
 
 
 def run_walks(
@@ -215,7 +176,7 @@ def run_walks(
     from ._kernels import get_kernel
 
     name, kernel = get_kernel(engine)
-    out_flat, dart_table, value_index, degrees = _tables(g, name)
+    out_flat, dart_table, value_index, degrees = _tables(g)
     if not 0 <= length < 2**63:
         raise ValueError("length must be non-negative and below 2**63")
     if samples < 1:
@@ -233,7 +194,7 @@ def run_walks(
     bounds = [samples * i // parts for i in range(parts + 1)]
     chunks = list(zip(bounds, bounds[1:]))  # none empty, as parts <= samples
 
-    seed_word = seed & _rng.MASK64
+    seed_word = seed & 0xFFFFFFFFFFFFFFFF
 
     def run_chunk(lo: int, hi: int) -> None:
         kernel(seed_word, lo, length, out_flat, dart_table, value_index,
@@ -327,8 +288,7 @@ def exact_bit_distribution(g: Graph | EdgeList, length: int) -> ExactBitDistribu
     """Exact distribution of the branch-count vector by dynamic programming.
 
     ``g`` may be a ``Graph`` or a parsed :class:`~nbrw._text.EdgeList`; the
-    DP reads the walk tables of the engine that
-    :func:`nbrw._kernels.get_kernel` selects by default.  Each dart maps the
+    DP reads the walk tables that the sampler reads.  Each dart maps the
     count vectors of the walks that end at it, keyed
     ``sum(c_i * (length + 1)**i)``, to their number; a step sums the maps
     of each dart's predecessors and adds one degree's place value to every
@@ -339,9 +299,7 @@ def exact_bit_distribution(g: Graph | EdgeList, length: int) -> ExactBitDistribu
     """
     from fractions import Fraction
 
-    from ._kernels import get_kernel
-
-    out_flat, dart_table, _, degrees = _tables(g, get_kernel()[0])
+    out_flat, dart_table, _, degrees = _tables(g)
     if length < 0:
         raise ValueError("length must be non-negative")
     if len(degrees) > 2:

@@ -9,6 +9,9 @@ the compiled and numpy implementations produce bit-identical values.
 Successor choices use the draw modulo the branching degree; the modulo
 bias is of order degree / 2**64 and irrelevant at any feasible sample
 count.
+
+The Python reference of the stream that both kernels are checked against;
+the package reads none of it.  Kept verbatim, apart from this paragraph.
 """
 
 from __future__ import annotations

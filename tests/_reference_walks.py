@@ -22,10 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nbrw import _rng
+import numpy as np
+
 from nbrw.graph import Graph
 from nbrw.operators import require_nb_irreducible
-from nbrw.walks import ExactBitDistribution, _walk_tables
+from nbrw.walks import ExactBitDistribution, _tables
+
+import _reference_rng as _rng
 
 
 def out_darts(g: Graph, vertex: int) -> list[int]:
@@ -109,7 +112,7 @@ def sample_walk(g: Graph, length: int, seed: int, stream: int = 0) -> WalkSample
     require_nb_irreducible(g)
     if length < 0:
         raise ValueError("length must be non-negative")
-    out_flat, dart_table, _, _ = _walk_tables(g)
+    out_flat, dart_table, _, _ = map(np.asarray, _tables(g))
     out_flat, (first, skip, outdeg, _, _) = memoryview(out_flat), map(memoryview, dart_table)
     key = _rng.stream_key(seed, stream)
     e = _rng.draw(key, 0) % g.dart_count

@@ -365,21 +365,6 @@ def test_walk_samples_beyond_the_address_space_exit_2(k4e_file, capsys):
     assert err == "error: out of memory\n"
 
 
-def test_walk_thread_env_cap(k4e_file, capsys, monkeypatch):
-    monkeypatch.setenv("NBRW_THREADS", "1")
-    code, out, _ = run_cli(capsys, "walk", k4e_file, "--len", "10", "--samples", "100", "--workers", "8")
-    assert code == 0
-    assert "workers: 1" in out
-
-
-def test_walk_malformed_thread_env_exit_64(k4e_file, capsys, monkeypatch):
-    monkeypatch.setenv("NBRW_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["walk", k4e_file, "--len", "10", "--samples", "100"])
-    assert exc.value.code == 64
-    assert "NBRW_THREADS" in capsys.readouterr().err
-
-
 def test_pdf_stdout_and_file(k4e_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "pdf", k4e_file, "--len", "1")
     assert code == 0
@@ -799,8 +784,8 @@ def test_scipy_loaded_only_by_sparse_solves(k4e_file, tmp_path, capsys, argv, ex
 
 # modules that some command needs and others need not load; numpy.ma comes
 # with np.unique calls that ask for no return_* arrays
-_PROBED = ("concurrent.futures", "nbrw._kernels", "nbrw.conditions", "nbrw.families", "nbrw.graph", "nbrw.operators",
-           "nbrw.variance", "nbrw.walks", "numpy", "numpy.ma")
+_PROBED = ("concurrent.futures", "nbrw._kernels", "nbrw._kernels.fallback", "nbrw.conditions", "nbrw.families",
+           "nbrw.graph", "nbrw.operators", "nbrw.variance", "nbrw.walks", "numpy", "numpy.ma")
 _MODULE_PROBE = f"""
 import sys
 from nbrw.cli import main
@@ -809,18 +794,18 @@ print(code, *sorted(m for m in sys.modules if m in {_PROBED!r}), file=sys.stderr
 """
 
 
-# the selected engine's tables serve walk and pdf: the compiled kernel builds
-# them from the edge list, the numpy fallback off a Graph
-_WALK_LOADS = (["nbrw._kernels", "nbrw.walks"] if get_kernel()[0] == "compiled"
-               else ["nbrw._kernels", "nbrw.graph", "nbrw.walks", "numpy"])
+# the selected builder lays out the darts for every command that reads them:
+# the compiled kernel, or its numpy twin, which only then loads
+_TABLES = ["nbrw._kernels"] if get_kernel()[0] == "compiled" else ["nbrw._kernels", "nbrw._kernels.fallback"]
+_WALK_LOADS = _TABLES + ["nbrw.walks"] + ([] if get_kernel()[0] == "compiled" else ["numpy"])
 
 
 @pytest.mark.parametrize(
     "argv, expected_code, loaded",
     [
-        (["analyze", "{k4e}", "--json"], 1, ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "numpy"]),
+        (["analyze", "{k4e}", "--json"], 1, _TABLES + ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "numpy"]),
         (["analyze", "{k4e}", "--with-variance"], 1,
-         ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "nbrw.variance", "numpy"]),
+         _TABLES + ["nbrw.conditions", "nbrw.graph", "nbrw.operators", "nbrw.variance", "numpy"]),
         (["walk", "{k4e}", "--len", "5", "--samples", "10"], 0, _WALK_LOADS),
         (["walk", "{k4e}", "--len", "5", "--samples", "10", "--workers", "2"], 0, _WALK_LOADS),
         (["pdf", "{k4e}", "--len", "5"], 0, _WALK_LOADS),
@@ -845,3 +830,14 @@ def test_commands_load_only_the_modules_they_use(k4e_file, tmp_path, argv, expec
     code, *modules = proc.stderr.splitlines()[-1].split()
     assert int(code) == expected_code, proc.stderr
     assert modules == loaded
+
+
+def test_analyze_lays_out_the_darts_once(k4e_file, capsys, monkeypatch):
+    # the verdict, both criteria, rho and the variance read one layout, from the selected builder
+    from nbrw import _kernels
+
+    module = _kernels._compiled if get_kernel()[0] == "compiled" else _kernels.fallback
+    builder, calls = module.walk_tables, []
+    monkeypatch.setattr(module, "walk_tables", lambda *args: calls.append(args) or builder(*args))
+    assert run_cli(capsys, "analyze", k4e_file, "--with-variance")[0] == 1
+    assert len(calls) == 1

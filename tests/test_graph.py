@@ -15,11 +15,10 @@ from nbrw import (
     is_nb_irreducible,
     parse_graph_text,
 )
-from nbrw.graph import HALF_LOOP, NORMAL, WHOLE_LOOP, _is_connected
-from nbrw._kernels import available_engines
+from nbrw.graph import HALF_LOOP, NORMAL, WHOLE_LOOP
+from nbrw._kernels import available_engines, fallback
 from nbrw._text import cannot_connect, number_darts
 from nbrw.cli import _graph_summary
-from nbrw.walks import _walk_tables
 
 from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible
 from _reference_darts import DartArrays, degree_histogram
@@ -141,7 +140,7 @@ def test_dart_transitions_match_definition_on_corpus():
         kinds.update(kind for _, _, kind in g.edges)
         if len(set((min(a, b), max(a, b)) for a, b, _ in g.edges)) < len(g.edges):
             kinds.add("parallel")
-        out_flat, (first, skip, outdeg, anchor, dist), _, _ = _walk_tables(g)
+        _, out_flat, (first, skip, outdeg, anchor, dist), _, _ = g._layout
         for e in range(g.dart_count):
             expected = [
                 f for f in range(g.dart_count)
@@ -249,7 +248,7 @@ def _seeded_corpus():
 
 def test_is_connected_matches_search():
     graphs = _seeded_corpus()
-    verdicts = [_is_connected(g) for g in graphs]
+    verdicts = [fallback._is_connected(g.vertex_count, g.dart_tail, g.dart_head) for g in graphs]
     assert verdicts == [_connected_by_search(g) for g in graphs]
     assert 50 <= sum(verdicts) <= len(graphs) - 50
 

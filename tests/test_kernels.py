@@ -12,11 +12,11 @@ import pytest
 from nbrw import build_graph, is_nb_irreducible, k4_minus_edge, run_walks, walks, wheel_graph
 from nbrw import _kernels as kernels
 from nbrw._kernels import available_engines, get_kernel
-from nbrw._rng import MASK64, draw, mix64, stream_key
 from nbrw._text import EdgeList
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
 
 from _corpus import graphs_with_loops, pairing_graph, random_nb_irreducible, scalar_walk_counts
+from _reference_rng import MASK64, draw, mix64, stream_key
 from _reference_walks import sample_walk
 
 
@@ -42,8 +42,9 @@ def test_kernel_selection(monkeypatch):
     monkeypatch.setenv("NBRW_PURE_PYTHON", "1")
     name, _ = get_kernel(None)
     assert name == "python"
-    with pytest.raises(ValueError):
-        get_kernel("bogus")
+    for bogus in ("bogus", "auto"):  # None is the default
+        with pytest.raises(ValueError):
+            get_kernel(bogus)
 
 
 def test_engines_agree_on_corpus():
@@ -58,7 +59,7 @@ def test_engines_agree_on_corpus():
         assert np.array_equal(a.end_darts, b.end_darts)
     # walks that end inside a suspended path, in a chunk of 7 samples from sample 5
     for g in [wheel_graph(5, 3, 12), *graphs_with_loops(rng)]:
-        out_flat, dart_table, value_index, degrees = walks._walk_tables(g)
+        out_flat, dart_table, value_index, degrees = walks._tables(g)
         for length in range(int(g.suspended_paths.length.max()) + 3):
             counts, ends = scalar_walk_counts(g, length, 41, range(5, 12))
             for engine in ("compiled", "python"):
@@ -73,7 +74,7 @@ def test_compiled_kernel_rejects_bad_buffers(k4e):
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
     _, kernel = get_kernel("compiled")
-    out_flat, dart_table, value_index, degrees = walks._walk_tables(k4e)
+    out_flat, dart_table, value_index, degrees = map(np.asarray, walks._tables(k4e))
     counts = np.zeros((4, len(degrees)), dtype=np.int64)
     end = np.zeros(4, dtype=np.int32)
     kernel(1, 0, 5, out_flat, dart_table, value_index, counts, end)  # the tables run_walks passes
@@ -121,7 +122,7 @@ def test_compiled_kernel_reads_any_buffer(k4e):
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
     _, kernel = get_kernel("compiled")
-    out_flat, dart_table, value_index, degrees = walks._walk_tables(k4e)
+    out_flat, dart_table, value_index, degrees = map(np.asarray, walks._tables(k4e))
     counts, ends = scalar_walk_counts(k4e, 17, 3, range(2, 8))
     for convert in (lambda a, code: a, _as_array, lambda a, code: memoryview(bytearray(a.tobytes())).cast(code, a.shape)):
         got_counts, got_ends = convert(np.zeros_like(counts), "q"), convert(np.zeros_like(ends), "i")
@@ -143,42 +144,52 @@ def _hub_graph():
     return build_graph(137, edges)
 
 
-def test_compiled_tables_match_the_graph_tables():
-    # the C builder decides what is_nb_irreducible decides, and on every
-    # irreducible graph builds _walk_tables(g) row for row, from the tails
-    # of a Graph and from the edge list that the CLI parses
+def test_the_two_table_builders_agree():
+    # the C builder and its numpy twin give the same verdict, the one that
+    # is_nb_irreducible gives, and the same bytes, on every graph: laid out
+    # whatever the verdict, with anchor = dist = -1 on a cycle component
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
-    from nbrw._kernels._walk import walk_tables
+    from nbrw._kernels import _walk, fallback
 
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    named = {
+        "no vertex": build_graph(0, []),
+        "isolated vertex": build_graph(5, k4),
+        "leaf": build_graph(5, k4 + [(3, 4)]),
+        "half-loop on a vertex of degree 1": build_graph(1, [(0, 0, HALF_LOOP)]),
+        "triangle beside a K4": build_graph(7, k4 + [(4, 5), (5, 6), (6, 4)]),
+        "vertex whose only edge is a whole-loop": build_graph(5, k4 + [(4, 4, WHOLE_LOOP)]),
+    }
     rng = random.Random(4242)
-    corpus = [build_graph(0, []), build_graph(1, []), build_graph(1, [(0, 0, HALF_LOOP)]),
-              build_graph(1, [(0, 0, WHOLE_LOOP)]), build_graph(1, [(0, 0, WHOLE_LOOP)] * 2),
-              build_graph(1, [(0, 0, HALF_LOOP)] * 3), build_graph(3, [(0, 1)]), _hub_graph()]
+    corpus = [*named.values(), build_graph(1, []), build_graph(1, [(0, 0, WHOLE_LOOP)]),
+              build_graph(1, [(0, 0, WHOLE_LOOP)] * 2), build_graph(1, [(0, 0, HALF_LOOP)] * 3),
+              build_graph(3, [(0, 1)]), _hub_graph()]
     for _ in range(500):
         lo, hi = rng.choice([(1, 5), (2, 2), (2, 5), (3, 4)])
         corpus.append(pairing_graph(rng, [rng.randint(lo, hi) for _ in range(rng.randint(2, 9))], half_loop_prob=0.3))
     verdicts = Counter()
     for g in corpus:
         paired = 2 * sum(kind != HALF_LOOP for *_, kind in g.edges)
-        verdict, *tables = walk_tables(g.vertex_count, paired, g.dart_tail)
-        assert verdict == is_nb_irreducible(g).value, g
+        verdict, *tables = _walk.walk_tables(g.vertex_count, paired, array("q", g.dart_tail.tolist()))
+        twin_verdict, *twin_tables = fallback.walk_tables(g.vertex_count, paired, g.dart_tail)
+        assert verdict == twin_verdict == is_nb_irreducible(g).value, g
+        assert [bytes(t) for t in tables] == [bytes(memoryview(t)) for t in twin_tables], g
         verdicts[verdict] += 1
+        edge_list = EdgeList(g.vertex_count, list(g.edges))  # what the CLI parses
         if verdict != "ok":
             with pytest.raises(walks.PreconditionError, match=f"got {verdict}$"):
-                walks._compiled_tables(EdgeList(g.vertex_count, list(g.edges)))
-            continue
-        out_flat, dart_table, value_index, degrees = walks._walk_tables(g)
-        raw = [*tables[:3], tuple(memoryview(tables[3]).cast("q"))]
-        for got in (raw, walks._compiled_tables(EdgeList(g.vertex_count, list(g.edges)))):
-            assert np.frombuffer(got[0], np.int64).tolist() == out_flat.tolist(), g
-            assert np.frombuffer(got[1], np.int64).reshape(5, -1).tolist() == dart_table.tolist(), g
-            assert np.frombuffer(got[2], np.int32).tolist() == value_index.tolist(), g
-            assert got[3] == degrees, g
+                walks._tables(edge_list)
+        else:
+            assert [bytes(t) for t in walks._tables(edge_list)[:3]] == [bytes(t) for t in tables[:3]], g
     assert min(verdicts.values()) >= 5 and len(verdicts) == 4, verdicts
+    cyclic = named["triangle beside a K4"]
+    anchor_and_dist = np.frombuffer(_walk.walk_tables(7, 18, cyclic.dart_tail)[2], np.int64).reshape(5, -1)[3:]
+    assert (anchor_and_dist[:, :12] >= 0).all() and (anchor_and_dist[:, 12:] == -1).all()  # the K4's, the triangle's
     for tails, paired in (([0, 1, 2], 4), ([0, 1], 1), ([0, 3], 2), ([0, -1], 2)):
-        with pytest.raises(ValueError, match="tails"):
-            walk_tables(3, paired, array("q", tails))
+        for builder in (_walk.walk_tables, fallback.walk_tables):
+            with pytest.raises(ValueError, match="tails"):
+                builder(3, paired, array("q", tails))
 
 
 def test_walks_count_more_than_127_branching_degrees():

@@ -28,6 +28,7 @@ from nbrw import (
     walks,
     wheel_graph,
 )
+from nbrw import _kernels as kernels
 from nbrw._kernels import available_engines
 from nbrw._text import parse_text
 from nbrw.graph import HALF_LOOP, WHOLE_LOOP
@@ -98,17 +99,16 @@ def test_sample_walk_rejects_cycle():
 def test_walk_tables_are_built_once_per_graph(monkeypatch):
     g = equal_growth_wheel(6)
     first = sample_walk(g, 50, seed=3, stream=2)
-    tables = walks._walk_tables(g)
-    assert not tables[1].flags.writeable and not tables[2].flags.writeable
+    tables = walks._tables(g)
+    assert all(table.readonly for table in tables[:3])
 
-    def rebuilt(_):
+    def rebuilt(*_):
         raise AssertionError("the walk tables were built again")
 
-    # building the tables reads the tracked degrees; reading them does not
-    monkeypatch.setattr(walks, "tracked_degrees", rebuilt)
+    monkeypatch.setattr(kernels, "walk_tables", rebuilt)
     assert sample_walk(g, 50, seed=3, stream=2) == first
     assert run_walks(g, 50, 3, seed=3).end_darts[2] == first.darts[-1]
-    assert walks._walk_tables(g) is tables
+    assert [bytes(t) for t in walks._tables(g)[:3]] == [bytes(t) for t in tables[:3]]
 
 
 def test_run_walks_deterministic_across_workers(k4e):
@@ -264,8 +264,8 @@ def test_exact_distribution_rejects_three_degrees():
 
 
 def test_exact_law_is_the_same_from_both_table_builders(monkeypatch):
-    # the law reads the tables of the engine that get_kernel selects: built
-    # in C from the edge list, or off a Graph in numpy under NBRW_PURE_PYTHON
+    # the law reads the tables of the builder that get_kernel selects: in C,
+    # or in numpy under NBRW_PURE_PYTHON, on a Graph and on an edge list alike
     if "compiled" not in available_engines():
         pytest.skip("compiled kernel not built")
     rng = random.Random(2323)
@@ -284,11 +284,10 @@ def test_exact_law_is_the_same_from_both_table_builders(monkeypatch):
         return exact_bit_distribution(h, length)
 
     for g in corpus:
-        h, edge_list = law_inputs(g)
         for length in (0, 1, 3, 9):
-            laws = [law(x, length, pure) for x in (h, edge_list) for pure in (False, True)]
+            # a fresh Graph per builder, as a Graph keeps the tables it built first
+            laws = [law(x, length, pure) for pure in (False, True) for x in law_inputs(g)]
             assert laws[1:] == laws[:1] * 3, (g, length)
-        assert hasattr(h, "_walk_buffer_cache") and hasattr(h, "_walk_table_cache")  # both builders ran
 
     # the refusals, in order: irreducibility, then the length, then the degrees
     three = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)]
